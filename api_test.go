@@ -270,12 +270,11 @@ func TestPublicParallelismAndStreamIdentical(t *testing.T) {
 	if got := reportFingerprint(base.AnalyzeStream(camp.Logs)); got != want {
 		t.Fatal("AnalyzeStream with default options diverged from serial")
 	}
-	// The deprecated package-level wrapper must keep forwarding verbatim.
-	if got := reportFingerprint(AnalyzeStream(base, camp.Logs)); got != want {
-		t.Fatal("deprecated package-level AnalyzeStream diverged from the method")
-	}
 }
 
+// TestPublicRecoverClocksWith covers RecoverClocks with explicit
+// ClockOptions: options naming the defaults reproduce the default solve
+// exactly, and the pairing gate drops under-observed nodes.
 func TestPublicRecoverClocksWith(t *testing.T) {
 	camp, err := RunCampaign(TinyCampaign(5))
 	if err != nil {
@@ -287,17 +286,13 @@ func TestPublicRecoverClocksWith(t *testing.T) {
 	}
 	out := an.Analyze(camp.Logs)
 	def := RecoverClocks(out.Result.Flows, Server)
-	same := RecoverClocksWith(out.Result.Flows, Server, RecoverClocksOpts{})
-	viaOpts := RecoverClocks(out.Result.Flows, Server, WithClockSweeps(10))
-	if len(viaOpts.Nodes) != len(def.Nodes) || viaOpts.Pairs != def.Pairs {
-		t.Fatal("variadic options diverged from defaults")
-	}
+	same := RecoverClocks(out.Result.Flows, Server, WithClockSweeps(10), WithClockMinPairings(0))
 	if len(def.Nodes) != len(same.Nodes) || def.Pairs != same.Pairs {
-		t.Fatal("zero options diverged from RecoverClocks")
+		t.Fatal("default-valued options diverged from RecoverClocks")
 	}
 	for n, p := range def.Nodes {
 		if same.Nodes[n] != p {
-			t.Fatalf("node %v params diverged under zero options", n)
+			t.Fatalf("node %v params diverged under default-valued options", n)
 		}
 	}
 	// An absurd threshold drops every non-anchor node into Unanchored.

@@ -442,42 +442,6 @@ func BenchmarkFlowOutput(b *testing.B) {
 	})
 }
 
-// BenchmarkKernel isolates the FSM walk strategy over the shared campaign's
-// pre-built views: the compiled threaded-code kernel walk (the default hot
-// path — one flat op-table load per event, classification read straight off
-// the batch columns) against the interpreted reference walk (dense-table
-// probes and per-event Event materialization, kept as the semantic oracle
-// behind -interpreted). Both run the same serial AnalyzeViews path so
-// allocs/op is deterministic and benchguard can pin it.
-func BenchmarkKernel(b *testing.B) {
-	c := benchCampaign(b)
-	views, _ := event.Partition(c.Res.Logs)
-	if len(views) == 0 {
-		b.Fatal("no views")
-	}
-	run := func(b *testing.B, opts engine.Options) {
-		eng, err := engine.New(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			flows := eng.AnalyzeViews(views)
-			if len(flows) != len(views) {
-				b.Fatal("flow count mismatch")
-			}
-		}
-		b.ReportMetric(float64(len(views)), "flows")
-	}
-	b.Run("kernel", func(b *testing.B) {
-		run(b, engine.Options{Sink: c.Res.Sink})
-	})
-	b.Run("interpreted", func(b *testing.B) {
-		run(b, engine.Options{Sink: c.Res.Sink, Interpreted: true})
-	})
-}
-
 // BenchmarkDiagnosis isolates the diagnosis layer on the shared campaign's
 // reconstructed flows. classify is one scratch-backed classifier pass over
 // every flow — steady-state it performs ZERO allocations, the tentpole
@@ -734,18 +698,14 @@ func skewedBench(b *testing.B) (*Collection, NodeID, int64) {
 	return skewLogs, skewSink, skewEnd
 }
 
-// BenchmarkAnalyzeSkewed is the scheduler's headline number: the same
-// hot-origin campaign analyzed at 8 workers under the legacy static
-// origin-chunk cut (the hot origin is one indivisible chunk — its owner
-// serializes the tail) and under the work-stealing scheduler (idle workers
-// split the hot origin mid-chunk). The steal case must beat static by a wide
-// margin here while every equivalence suite pins their outputs equal.
+// BenchmarkAnalyzeSkewed is the scheduler's headline number: a hot-origin
+// campaign analyzed at 8 workers, where idle workers must split the hot
+// origin mid-chunk to keep the tail from serializing on its owner.
 func BenchmarkAnalyzeSkewed(b *testing.B) {
 	logs, sink, end := skewedBench(b)
 	events := logs.TotalEvents()
-	run := func(b *testing.B, extra ...AnalyzerOption) {
-		opts := append([]AnalyzerOption{WithParallelism(8)}, extra...)
-		an, err := NewAnalyzer(AnalyzerOptions{Sink: sink, End: end}, opts...)
+	b.Run("steal-8", func(b *testing.B) {
+		an, err := NewAnalyzer(AnalyzerOptions{Sink: sink, End: end}, WithParallelism(8))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -757,12 +717,6 @@ func BenchmarkAnalyzeSkewed(b *testing.B) {
 			}
 		}
 		b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
-	}
-	b.Run("static-8", func(b *testing.B) {
-		run(b, WithEngineOptions(EngineOptions{StaticSharding: true}))
-	})
-	b.Run("steal-8", func(b *testing.B) {
-		run(b)
 	})
 }
 

@@ -38,7 +38,7 @@
 // mismatch CI:
 //
 //	go test -run '^$' \
-//	    -bench '^(BenchmarkAnalyzeCampaign|BenchmarkAnalyzePacket|BenchmarkAnalyzeSkewed|BenchmarkEngineChain|BenchmarkBinaryCodec|BenchmarkTableII|BenchmarkFlowOutput|BenchmarkDiagnosis|BenchmarkKernel|BenchmarkSessionIngest|BenchmarkSnapshot)$' \
+//	    -bench '^(BenchmarkAnalyzeCampaign|BenchmarkAnalyzePacket|BenchmarkAnalyzeSkewed|BenchmarkEngineChain|BenchmarkBinaryCodec|BenchmarkTableII|BenchmarkFlowOutput|BenchmarkDiagnosis|BenchmarkSessionIngest|BenchmarkSnapshot)$' \
 //	    -benchmem -benchtime 1x . > bench_baseline.txt
 package main
 

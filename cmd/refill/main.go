@@ -53,7 +53,6 @@ func main() {
 		stream    = flag.Bool("stream", false, "overlap partitioning with reconstruction (implies parallel workers)")
 		winRows   = flag.Int("window-rows", 0, "residency window size in rows for the out-of-core -from-snapshot path (0 = default)")
 		twoPass   = flag.Bool("two-pass", false, "diagnose in a separate pass after reconstruction (legacy pipeline; output is identical)")
-		interp    = flag.Bool("interpreted", false, "run the interpreted engine walk instead of the compiled kernels (reference path; output is identical)")
 		prof      profiling.Flags
 	)
 	prof.Register(flag.CommandLine)
@@ -106,9 +105,6 @@ func main() {
 	}
 	if *twoPass {
 		opts = append(opts, refill.WithSeparateDiagnosis())
-	}
-	if *interp {
-		opts = append(opts, refill.WithInterpretedEngine())
 	}
 	an, err := refill.NewAnalyzer(refill.AnalyzerOptions{
 		Sink: refill.NodeID(*sinkID),

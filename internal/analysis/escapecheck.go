@@ -125,7 +125,7 @@ func runEscapeCheck(p *Pass) {
 }
 
 // hasMarker reports whether a comment line is the given //refill: directive,
-// alone or followed by a rationale (`//refill:noalloc — kernel hot loop`).
+// alone or followed by a rationale (`//refill:noalloc — FSM walk hot loop`).
 func hasMarker(text, marker string) bool {
 	if !strings.HasPrefix(text, marker) {
 		return false

@@ -63,16 +63,6 @@ type Options struct {
 	// outputs are identical either way — this is an escape hatch for
 	// debugging and for measuring the fusion itself.
 	SeparateDiagnosis bool
-	// InterpretedEngine forces the engine's interpreted reference walk
-	// instead of the default compiled-kernel execution. Outputs are
-	// identical either way — an escape hatch mirroring SeparateDiagnosis,
-	// for debugging and for measuring the kernel itself.
-	InterpretedEngine bool
-	// StaticSharding forces the engine's legacy static work distribution
-	// instead of the work-stealing scheduler (see engine.Options.
-	// StaticSharding). Outputs are identical either way — the reference
-	// the skewed-origin benchmarks compare against.
-	StaticSharding bool
 }
 
 // Option is a functional override applied on top of an Options struct by
@@ -117,13 +107,6 @@ func WithSeparateDiagnosis() Option {
 	return func(o *Options) { o.SeparateDiagnosis = true }
 }
 
-// WithInterpretedEngine forces the engine's interpreted reference walk
-// instead of the default compiled-kernel execution (see Options.
-// InterpretedEngine).
-func WithInterpretedEngine() Option {
-	return func(o *Options) { o.InterpretedEngine = true }
-}
-
 // WithEngineOptions imports engine-level configuration — the escape hatch for
 // callers that previously built an engine.Options by hand. It MERGES rather
 // than replaces: a field left at its zero value in eo (nil Protocol, NoNode
@@ -142,8 +125,6 @@ func WithEngineOptions(eo engine.Options) Option {
 		}
 		o.DisableIntra = o.DisableIntra || eo.DisableIntra
 		o.DisableInter = o.DisableInter || eo.DisableInter
-		o.InterpretedEngine = o.InterpretedEngine || eo.Interpreted
-		o.StaticSharding = o.StaticSharding || eo.StaticSharding
 		if eo.MaxInferred != 0 {
 			o.MaxInferred = eo.MaxInferred
 		}
@@ -178,15 +159,13 @@ func NewAnalyzer(opts Options, extra ...Option) (*Analyzer, error) {
 		return nil, fmt.Errorf("core: no sink configured — the zero Options has no default sink; add WithSink(node) (or set Options.Sink)")
 	}
 	eng, err := engine.New(engine.Options{
-		Protocol:       opts.Protocol,
-		Sink:           opts.Sink,
-		DisableIntra:   opts.DisableIntra,
-		DisableInter:   opts.DisableInter,
-		MaxInferred:    opts.MaxInferred,
-		MaxDepth:       opts.MaxDepth,
-		Group:          opts.Group,
-		Interpreted:    opts.InterpretedEngine,
-		StaticSharding: opts.StaticSharding,
+		Protocol:     opts.Protocol,
+		Sink:         opts.Sink,
+		DisableIntra: opts.DisableIntra,
+		DisableInter: opts.DisableInter,
+		MaxInferred:  opts.MaxInferred,
+		MaxDepth:     opts.MaxDepth,
+		Group:        opts.Group,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)

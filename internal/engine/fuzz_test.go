@@ -91,6 +91,69 @@ func fuzzOne(t *testing.T, eng *Engine, evs []event.Event, pkt event.PacketID, t
 	_ = f.HasLoop()
 }
 
+// soupFromBytes decodes a fuzz input into structurally valid event soup:
+// three bytes per event (type, endpoint, endpoint), shaped exactly like
+// randomSoup's generator so the fuzzer explores the same space the soup
+// tests sample.
+func soupFromBytes(data []byte) []event.Event {
+	types := []event.Type{event.Gen, event.Recv, event.Trans, event.AckRecvd,
+		event.Timeout, event.Dup, event.Overflow, event.ServerRecv,
+		event.Enqueue, event.Dequeue}
+	pkt := event.PacketID{Origin: 1, Seq: 1}
+	if len(data) > 768 {
+		data = data[:768] // bound per-input work
+	}
+	var out []event.Event
+	for i := 0; i+2 < len(data); i += 3 {
+		ty := types[int(data[i])%len(types)]
+		a := event.NodeID(int(data[i+1])%4 + 1)
+		b := event.NodeID(int(data[i+2])%4 + 1)
+		if b == a {
+			b = a%4 + 1
+		}
+		var e event.Event
+		switch {
+		case ty == event.Gen:
+			e = event.Event{Node: pkt.Origin, Type: ty, Sender: pkt.Origin, Packet: pkt}
+		case ty == event.ServerRecv:
+			e = event.Event{Node: event.Server, Type: ty, Sender: a,
+				Receiver: event.Server, Packet: pkt}
+		case ty.NodeLocal():
+			e = event.Event{Node: a, Type: ty, Sender: a, Packet: pkt}
+		case ty.SenderSide():
+			e = event.Event{Node: a, Type: ty, Sender: a, Receiver: b, Packet: pkt}
+		default:
+			e = event.Event{Node: b, Type: ty, Sender: a, Receiver: b, Packet: pkt}
+		}
+		e.Time = int64(i)
+		out = append(out, e)
+	}
+	return out
+}
+
+// FuzzEngineSoup feeds arbitrary event soup through the walk and requires
+// the fuzzOne invariants: termination without panic, every input row either
+// committed or recorded as an anomaly, bounded output, and per-node log
+// order preserved. Crashers found by `go test -fuzz=FuzzEngineSoup` are
+// pinned under testdata/fuzz and replayed by every normal test run.
+func FuzzEngineSoup(f *testing.F) {
+	// Seeds: a clean relay, a routing loop with an origin revisit, and soup.
+	f.Add([]byte{0, 1, 1, 2, 1, 2, 1, 1, 2, 3, 1, 2, 2, 2, 3, 1, 2, 3})
+	f.Add([]byte{0, 1, 1, 2, 1, 2, 1, 1, 2, 2, 2, 1, 1, 2, 1, 2, 1, 3, 1, 3, 1})
+	f.Add([]byte{9, 3, 3, 5, 2, 1, 7, 1, 4, 4, 2, 2, 6, 1, 3, 3, 2, 4, 8, 1, 1})
+	eng, err := New(Options{Protocol: fsm.DefaultCTP(), Sink: 3})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		evs := soupFromBytes(data)
+		if len(evs) == 0 {
+			return
+		}
+		fuzzOne(t, eng, evs, event.PacketID{Origin: 1, Seq: 1}, 0)
+	})
+}
+
 func TestEngineSurvivesRandomSoup(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	pkt := event.PacketID{Origin: 1, Seq: 1}
@@ -131,6 +194,27 @@ func TestAblatedEngineSurvivesRandomSoup(t *testing.T) {
 		}
 		for trial := 0; trial < 150; trial++ {
 			evs := randomSoup(rng, pkt, 5, 5+rng.Intn(30))
+			fuzzOne(t, eng, evs, pkt, trial)
+		}
+	}
+}
+
+// TestOtherProtocolsSurviveRandomSoup extends the soup invariants to the
+// Table II walkthrough protocol and the group-prerequisite dissemination
+// protocol, whose prerequisite shapes the CTP suites never reach.
+func TestOtherProtocolsSurviveRandomSoup(t *testing.T) {
+	rng := rand.New(rand.NewSource(102))
+	pkt := event.PacketID{Origin: 1, Seq: 1}
+	for _, opts := range []Options{
+		{Protocol: fsm.TableII(), Sink: 3},
+		{Protocol: fsm.Dissemination(), Sink: 3, Group: []event.NodeID{1, 2, 3, 4}},
+	} {
+		eng, err := New(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for trial := 0; trial < 200; trial++ {
+			evs := randomSoup(rng, pkt, 5, 5+rng.Intn(40))
 			fuzzOne(t, eng, evs, pkt, trial)
 		}
 	}

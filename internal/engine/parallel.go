@@ -12,7 +12,7 @@ import (
 // Parallel work distribution starts sharded by origin node: Partition orders
 // views by (origin, seq), so cutting the view slice only at origin
 // boundaries hands each worker whole origins, and idle workers rebalance by
-// stealing (see scheduler.go — or don't, under Options.StaticSharding).
+// stealing (see scheduler.go).
 // Every worker owns one run (no shared run pool to migrate state through),
 // one output arena (its flows stay on memory it touched), and the result
 // slots it fills — the merge is the indexed writes themselves, trivially
@@ -32,8 +32,7 @@ import (
 // chunk while the origins around it are still split toward want. (The old
 // fixed-target cut only closed chunks at or above total/want, so a dominant
 // origin anywhere in the order swallowed every origin after — or before —
-// it into one chunk; with a steal-capable consumer that mis-cut only costs
-// balance, but the static reference path serializes on it.)
+// it into one chunk; under work stealing that mis-cut only costs balance.)
 func originChunks(views []*event.PacketView, want int) [][2]int {
 	if want < 1 {
 		want = 1

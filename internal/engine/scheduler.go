@@ -8,27 +8,23 @@ import (
 	"repro/internal/flow"
 )
 
-// Work-stealing shard scheduler. The static originChunks cut hands each
-// worker a fixed set of origins up front, which serializes the tail whenever
-// the origin distribution is skewed: one hot origin becomes one chunk, and
-// every other worker idles while its owner walks it. The scheduler below
-// keeps the origin-aligned initial placement (volume-balanced, so a uniform
-// campaign never pays a steal) but lets idle workers steal — half a victim's
-// queued units at a time, or, when the victim is down to a single large
-// unit, half of that unit's view range. Splitting inside an origin is legal
-// here where it was not for the static cut's CHUNKS: packet reconstruction
-// is independent per view and every result lands in a packet-indexed slot,
-// so no shard ever needed to hold a whole origin for correctness — only the
-// stream router's per-origin worker affinity did, and the stream scheduler
-// preserves nothing of the kind either (its merge re-sorts by packet ID).
+// Work-stealing shard scheduler. Each worker starts with a volume-balanced,
+// origin-aligned share of the views (originChunks), so a uniform campaign
+// never pays a steal; idle workers then steal — half a victim's queued units
+// at a time, or, when the victim is down to a single large unit, half of
+// that unit's view range. A fixed origin-aligned cut would serialize the
+// tail whenever the origin distribution is skewed (one hot origin is one
+// chunk, and every other worker idles while its owner walks it). Splitting
+// inside an origin is legal because packet reconstruction is independent
+// per view and every result lands in a packet-indexed slot; the stream
+// scheduler's merge re-sorts by packet ID for the same reason.
 //
 // Determinism: the set of (view index → worker) assignments is racy by
 // construction, but every path that uses the scheduler writes flows and
 // outcomes into per-view indexed slots (or re-sorts by packet ID at the
 // join) and folds per-worker aggregates with the order-independent
-// diagnosis.Aggregate.Merge — exactly the properties the static chunk
-// channel already relied on, since chunk pickup order was nondeterministic
-// there too. Steal order therefore never leaks into the output.
+// diagnosis.Aggregate.Merge. Steal order therefore never leaks into the
+// output.
 //
 // Ownership: the deques are shared mutably across workers by design — every
 // access is under the per-deque mutex, and a unit is plain data (two ints),
@@ -56,7 +52,7 @@ type stealScheduler struct {
 }
 
 // newStealScheduler seeds one deque per worker with that worker's share of
-// the static origin-chunk cut, split into per-origin units so thieves can
+// the origin-chunk cut, split into per-origin units so thieves can
 // take whole origins before they resort to splitting one.
 func newStealScheduler(views []*event.PacketView, workers int) *stealScheduler {
 	s := &stealScheduler{deques: make([]stealDeque, workers)}
@@ -150,45 +146,12 @@ func (s *stealScheduler) steal(w, v int) (int, int, bool) {
 	return s.pop(w)
 }
 
-// viewSource hands out view index ranges to batch workers: the steal
-// scheduler by default, the legacy static chunk channel under
-// Options.StaticSharding.
-type viewSource interface {
-	next(w int) (lo, hi int, ok bool)
-}
-
-// staticSource is the pre-scheduler work distribution, kept as a selectable
-// reference: originChunks(views, workers*4) fed through one channel. It is
-// what BenchmarkAnalyzeSkewed measures the scheduler against and what the
-// equivalence suites pin the scheduler's output to.
-type staticSource struct{ work chan [2]int }
-
-func newStaticSource(views []*event.PacketView, workers int) *staticSource {
-	chunks := originChunks(views, workers*4)
-	work := make(chan [2]int, len(chunks))
-	for _, ch := range chunks {
-		work <- ch
-	}
-	close(work)
-	return &staticSource{work: work}
-}
-
-func (s *staticSource) next(int) (int, int, bool) {
-	ch, ok := <-s.work
-	return ch[0], ch[1], ok
-}
-
 // runSharded fans body out over workers goroutines, each pulling view ranges
-// from the engine's configured source until the batch drains. body runs on
-// the spawned goroutine, so worker-owned scratch constructed inside it never
-// crosses a goroutine boundary.
+// from a steal scheduler until the batch drains. body runs on the spawned
+// goroutine, so worker-owned scratch constructed inside it never crosses a
+// goroutine boundary.
 func (e *Engine) runSharded(views []*event.PacketView, workers int, body func(w int, next func() (int, int, bool))) {
-	var src viewSource
-	if e.opts.StaticSharding {
-		src = newStaticSource(views, workers)
-	} else {
-		src = newStealScheduler(views, workers)
-	}
+	src := newStealScheduler(views, workers)
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
@@ -227,10 +190,9 @@ func newWorkerScratch(sizing flow.Sizing, diagnose bool, cfg diagnosis.Config) *
 }
 
 // streamSource hands arriving packet views to stream workers. Views are
-// routed to a home queue by origin hash (preserving the static router's
-// locality: an origin's packets usually stay on one worker's arena), but an
-// idle worker steals the back half of the longest victim queue instead of
-// blocking behind a hot origin. One mutex guards all queues — pushes and
+// routed to a home queue by origin hash (locality: an origin's packets
+// usually stay on one worker's arena), but an idle worker steals the back
+// half of the longest victim queue instead of blocking behind a hot origin. One mutex guards all queues — pushes and
 // pops are tiny compared to a packet reconstruction — and close+empty wakes
 // every waiter for exit. Queue capacity is unbounded, which costs only the
 // view headers: the views' rows live in the partitioner's one shared arena
@@ -332,35 +294,12 @@ func (s *streamSource) stealLocked(w int) bool {
 	return true
 }
 
-// runStreamSharded drives body on workers goroutines fed by StreamPartition,
-// using the steal-capable source (or, under Options.StaticSharding, the
-// legacy per-worker channels where an origin's packets are pinned to their
-// hash-routed worker). Returns the operational events the partitioning scan
-// produced.
+// runStreamSharded drives body on workers goroutines fed by StreamPartition
+// through a steal-capable streamSource. Returns the operational events the
+// partitioning scan produced.
 func (e *Engine) runStreamSharded(c *event.Collection, workers int, body func(w int, recv func() (*event.PacketView, bool))) []event.Event {
 	var wg sync.WaitGroup
 	wg.Add(workers)
-	if e.opts.StaticSharding {
-		shards := make([]chan *event.PacketView, workers)
-		for w := 0; w < workers; w++ {
-			shards[w] = make(chan *event.PacketView, 64)
-			go func(w int) {
-				defer wg.Done()
-				body(w, func() (*event.PacketView, bool) {
-					v, ok := <-shards[w]
-					return v, ok
-				})
-			}(w)
-		}
-		ops := event.StreamPartition(c, func(v *event.PacketView) {
-			shards[shardOf(v.Packet.Origin, workers)] <- v
-		})
-		for _, ch := range shards {
-			close(ch)
-		}
-		wg.Wait()
-		return ops
-	}
 	src := newStreamSource(workers)
 	for w := 0; w < workers; w++ {
 		go func(w int) {

@@ -290,22 +290,6 @@ func WithDailyBins(dayLen int64, days int) AnalyzerOption { return core.WithDail
 // and for measuring the fusion itself.
 func WithSeparateDiagnosis() AnalyzerOption { return core.WithSeparateDiagnosis() }
 
-// WithInterpretedEngine forces the engine's interpreted reference walk —
-// per-event dense-table probes — instead of the default compiled-kernel
-// execution (each protocol graph is lowered to a flat threaded-code op array
-// at build time and driven by a column-wise walk over the packet view).
-// Outputs are byte-identical either way; like WithSeparateDiagnosis this is
-// an escape hatch for debugging and for measuring the kernel itself.
-func WithInterpretedEngine() AnalyzerOption { return core.WithInterpretedEngine() }
-
-// AnalyzeStream runs the pipeline with partitioning overlapped with
-// reconstruction; the Output is identical to an.Analyze(logs).
-//
-// Deprecated: call the method an.AnalyzeStream(logs) directly — the
-// analyzer owns its execution modes, and this package-level form survives
-// only as a thin wrapper for existing callers.
-func AnalyzeStream(an *Analyzer, logs *Collection) *Output { return an.AnalyzeStream(logs) }
-
 // Resident ingest sessions.
 type (
 	// Session is the long-lived incremental analyzer: Append per-node log
@@ -496,20 +480,6 @@ func WithClockMinPairings(n int) ClockOption { return clocksync.WithMinPairings(
 // defaults: 10 Gauss–Seidel sweeps, every paired node kept.
 func RecoverClocks(flows []*Flow, anchor NodeID, opts ...ClockOption) *ClockMap {
 	return clocksync.EstimateWith(flows, anchor, opts...)
-}
-
-// RecoverClocksOpts tunes RecoverClocksWith.
-//
-// Deprecated: pass ClockOptions to RecoverClocks instead.
-type RecoverClocksOpts = clocksync.Opts
-
-// RecoverClocksWith estimates the network's clocks with an explicit options
-// struct.
-//
-// Deprecated: use RecoverClocks(flows, anchor, opts...) — the variadic form
-// subsumes both the default and the configured call.
-func RecoverClocksWith(flows []*Flow, anchor NodeID, opts RecoverClocksOpts) *ClockMap {
-	return clocksync.EstimateOpts(flows, anchor, opts)
 }
 
 // Per-packet performance measurement (Section II: "per-packet delay, packet

@@ -1,13 +1,11 @@
 package refill
 
 // Equivalence suite for the work-stealing shard scheduler on the workload it
-// exists for: a campaign where one hot origin dominates the packet volume.
-// Under the legacy static origin-chunk cut, that origin is one indivisible
-// chunk and its owner serializes the tail; the steal scheduler splits it
-// mid-origin across idle workers. Either way — and on every path that uses a
-// scheduler (parallel, stream, windowed out-of-core) — the output must be
-// byte-identical to the serial reference, because steal decisions are racy by
-// construction and must never leak into results.
+// exists for: a campaign where one hot origin dominates the packet volume,
+// so the steal scheduler splits it mid-origin across idle workers. On every
+// path that uses the scheduler (parallel, stream, windowed out-of-core) the
+// output must be byte-identical to the serial reference, because steal
+// decisions are racy by construction and must never leak into results.
 
 import (
 	"path/filepath"
@@ -105,9 +103,7 @@ func TestSkewedOriginSchedulerEquivalence(t *testing.T) {
 		stream bool
 	}{
 		{"parallel-8-steal", []AnalyzerOption{WithParallelism(8)}, false},
-		{"parallel-8-static", []AnalyzerOption{WithParallelism(8), WithEngineOptions(EngineOptions{StaticSharding: true})}, false},
 		{"stream-8-steal", []AnalyzerOption{WithParallelism(8)}, true},
-		{"stream-8-static", []AnalyzerOption{WithParallelism(8), WithEngineOptions(EngineOptions{StaticSharding: true})}, true},
 		{"two-pass-parallel-8", []AnalyzerOption{WithParallelism(8), WithSeparateDiagnosis()}, false},
 	}
 	for _, m := range modes {
