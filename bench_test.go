@@ -246,6 +246,24 @@ func BenchmarkAnalyzeCampaign(b *testing.B) {
 	b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
 }
 
+// BenchmarkPartition measures the first layer of every analysis path on its
+// own: event.Partition grouping the shared campaign's rows into per-packet
+// views. allocs/op pins the arena design (a fixed handful of arena and
+// slot-table allocations, nothing per packet or per row).
+func BenchmarkPartition(b *testing.B) {
+	logs := benchCampaign(b).Res.Logs
+	events := logs.TotalEvents()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		views, _ := event.Partition(logs)
+		if len(views) == 0 {
+			b.Fatal("no views")
+		}
+	}
+	b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
+}
+
 // BenchmarkAccuracyVsLogLoss runs the E-A1 sweep at benchmark scale and
 // reports REFILL's cause accuracy at the extremes.
 func BenchmarkAccuracyVsLogLoss(b *testing.B) {

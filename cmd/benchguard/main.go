@@ -38,7 +38,7 @@
 // mismatch CI:
 //
 //	go test -run '^$' \
-//	    -bench '^(BenchmarkAnalyzeCampaign|BenchmarkAnalyzePacket|BenchmarkAnalyzeSkewed|BenchmarkEngineChain|BenchmarkBinaryCodec|BenchmarkTableII|BenchmarkFlowOutput|BenchmarkDiagnosis|BenchmarkSessionIngest|BenchmarkSnapshot)$' \
+//	    -bench '^(BenchmarkAnalyzeCampaign|BenchmarkAnalyzePacket|BenchmarkAnalyzeSkewed|BenchmarkEngineChain|BenchmarkBinaryCodec|BenchmarkTableII|BenchmarkFlowOutput|BenchmarkDiagnosis|BenchmarkSessionIngest|BenchmarkSnapshot|BenchmarkPartition)$' \
 //	    -benchmem -benchtime 1x . > bench_baseline.txt
 package main
 
@@ -96,8 +96,11 @@ type report struct {
 	Benchmarks  []Entry `json:"benchmarks"`
 }
 
-// gomaxprocsSuffix is the -8 in `BenchmarkName-8`: stripped so baselines
-// recorded on one machine compare against runs on another.
+// gomaxprocsSuffix matches the -8 in `BenchmarkName-8`: stripped so
+// baselines recorded on one machine compare against runs on another. A name
+// ending in -N is not proof of a suffix, though: the testing package omits
+// it at GOMAXPROCS=1, and a sub-benchmark may end in -N itself
+// (BenchmarkAnalyzeSkewed/steal-8). See commonCPUSuffix.
 var gomaxprocsSuffix = regexp.MustCompile(`-\d+$`)
 
 // parseLine token-walks one line of the testing package's result format:
@@ -117,7 +120,7 @@ func parseLine(line string) (Result, bool, error) {
 	if _, err := strconv.Atoi(f[1]); err != nil {
 		return Result{}, false, nil
 	}
-	res := Result{Name: gomaxprocsSuffix.ReplaceAllString(f[0], "")}
+	res := Result{Name: f[0]}
 	seenAllocs := false
 	for i := 2; i+1 < len(f); i += 2 {
 		v, err := strconv.ParseFloat(f[i], 64)
@@ -146,9 +149,10 @@ func parseLine(line string) (Result, bool, error) {
 }
 
 // parse extracts benchmark results from -benchmem output. Repeated runs of
-// the same name (e.g. -count=N) keep the last value.
+// the same name (e.g. -count=N) keep the last value. Names lose the
+// GOMAXPROCS suffix only when every result line of the run shares it.
 func parse(r io.Reader) (map[string]Result, error) {
-	out := make(map[string]Result)
+	var results []Result
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -157,10 +161,37 @@ func parse(r io.Reader) (map[string]Result, error) {
 			return nil, err
 		}
 		if ok {
-			out[res.Name] = res
+			results = append(results, res)
 		}
 	}
-	return out, sc.Err()
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	suffix := commonCPUSuffix(results)
+	out := make(map[string]Result, len(results))
+	for _, res := range results {
+		res.Name = strings.TrimSuffix(res.Name, suffix)
+		out[res.Name] = res
+	}
+	return out, nil
+}
+
+// commonCPUSuffix returns the -N suffix every result name ends in, or "" if
+// any name lacks it or ends in a different one. The testing package appends
+// -GOMAXPROCS to every name of a run or (at GOMAXPROCS=1) to none, so a
+// shared suffix is the GOMAXPROCS one, while a lone -8 is part of the name.
+// (A GOMAXPROCS=1 run whose only results all end in the same -N reads as
+// suffixed; the guarded runs always include unsuffixed names.)
+func commonCPUSuffix(results []Result) string {
+	suffix := ""
+	for i, res := range results {
+		s := gomaxprocsSuffix.FindString(res.Name)
+		if s == "" || (i > 0 && s != suffix) {
+			return ""
+		}
+		suffix = s
+	}
+	return suffix
 }
 
 // check compares current allocs against the baseline. tolerance is

@@ -48,6 +48,34 @@ func TestParseStripsCPUSuffix(t *testing.T) {
 	}
 }
 
+// TestParseKeepsNameSuffixAtOneCPU pins the -N stripping to what the
+// testing package does: at GOMAXPROCS=1 no name carries the suffix, so a
+// sub-benchmark named steal-8 keeps its -8; on a multi-core run every name
+// carries -2, and only that is stripped. Both runs must key the same names,
+// or a baseline recorded on one reports its entries missing on the other.
+func TestParseKeepsNameSuffixAtOneCPU(t *testing.T) {
+	const oneCPU = `BenchmarkAnalyzeCampaign   1   289179249 ns/op   76601880 B/op   591 allocs/op
+BenchmarkAnalyzeSkewed/steal-8   1   369173876 ns/op   132809048 B/op   1521 allocs/op
+`
+	const twoCPU = `BenchmarkAnalyzeCampaign-2   1   289179249 ns/op   76601880 B/op   591 allocs/op
+BenchmarkAnalyzeSkewed/steal-8-2   1   369173876 ns/op   132809048 B/op   1521 allocs/op
+`
+	for name, out := range map[string]string{"-cpu 1": oneCPU, "-cpu 2": twoCPU} {
+		got, err := parse(strings.NewReader(out))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range []string{"BenchmarkAnalyzeCampaign", "BenchmarkAnalyzeSkewed/steal-8"} {
+			if _, ok := got[want]; !ok {
+				t.Errorf("%s: %s missing from %v", name, want, got)
+			}
+		}
+		if len(got) != 2 {
+			t.Errorf("%s: parsed %d entries, want 2: %v", name, len(got), got)
+		}
+	}
+}
+
 // TestParseCustomMetrics pins the token walk on a line with a rate metric
 // between ns/op and the -benchmem columns (where b.ReportMetric puts it),
 // and that lines without allocs/op are not treated as results.

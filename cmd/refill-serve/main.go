@@ -15,6 +15,7 @@
 //	                   Content-Type: application/octet-stream. Each node log
 //	                   in the body is appended as that node's next fragment
 //	                   (fragments must arrive in log order per node).
+//	                   Bodies over 16 MiB are refused with 413.
 //	POST /v1/register  ?node=N — make node count toward the watermark
 //	                   before its first fragment. Register every log source
 //	                   up front, or early advances may finalize packets
@@ -49,11 +50,13 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"os/signal"
@@ -124,7 +127,12 @@ func main() {
 	stopCkpt := startCheckpointer(sess, ckptPath, *ckptDur)
 	defer stopCkpt()
 
-	srv := &http.Server{Addr: *addr, Handler: newHandler(sess, ckptPath)}
+	srv := &http.Server{
+		Addr:              *addr,
+		Handler:           newHandler(sess, ckptPath),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	errc := make(chan error, 1)
 	go func() {
 		if *tlsCert != "" || *tlsKey != "" {
@@ -195,6 +203,22 @@ func startCheckpointer(sess *refill.Session, path string, every time.Duration) (
 	}
 }
 
+// Request limits. They are fixed rather than flags: they bound what one
+// client can make the daemon hold, not how a deployment tunes it.
+const (
+	// maxAppendBytes caps a /v1/append body. Retrievers push per-node
+	// fragments (the median request is ~1.3 KB); 16 MiB still admits a
+	// whole node's campaign log in one push, while a runaway or hostile
+	// body is refused with 413 before it is parsed into memory.
+	maxAppendBytes = 16 << 20
+	// readHeaderTimeout bounds how long a connection may take to send its
+	// request headers (slow-header clients otherwise pin a goroutine and
+	// a socket indefinitely).
+	readHeaderTimeout = 10 * time.Second
+	// idleTimeout closes keep-alive connections left idle this long.
+	idleTimeout = 2 * time.Minute
+)
+
 // newHandler wires the session endpoints onto a mux. Split out of main so
 // tests can mount the service on httptest servers (including HTTP/2 ones).
 // ckptPath enables the on-demand checkpoint endpoint ("" disables it).
@@ -216,7 +240,20 @@ func newHandler(sess *refill.Session, ckptPath string) http.Handler {
 		if r.Header.Get("Content-Type") == "application/octet-stream" {
 			readLogs = refill.ReadLogsBinary
 		}
-		logs, err := readLogs(r.Body)
+		// The whole body is read before parsing so an oversized one is
+		// refused as such (the text parser would otherwise report the
+		// line the cap cut in half) and nothing of it reaches the session.
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxAppendBytes))
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			httpError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("append body exceeds %d bytes", tooLarge.Limit))
+			return
+		}
+		if err != nil {
+			httpError(w, http.StatusBadRequest, err)
+			return
+		}
+		logs, err := readLogs(bytes.NewReader(body))
 		if err != nil {
 			httpError(w, http.StatusBadRequest, err)
 			return

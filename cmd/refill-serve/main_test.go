@@ -374,3 +374,44 @@ func TestServeRejectsBadRequests(t *testing.T) {
 		t.Errorf("healthz: %s", resp.Status)
 	}
 }
+
+// TestServeRejectsOversizedAppend sends an append body one byte over the cap:
+// it is refused with 413 and none of it reaches the session.
+func TestServeRejectsOversizedAppend(t *testing.T) {
+	an, err := refill.NewAnalyzer(refill.AnalyzerOptions{}, refill.WithSink(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := an.NewSession(refill.SessionConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(newHandler(sess, ""))
+	defer srv.Close()
+
+	frag := refill.NewCollection()
+	frag.Add(refill.Event{Node: 2, Type: refill.Gen, Sender: 2, Packet: refill.PacketID{Origin: 2, Seq: 1}, Time: 10})
+	postLogs(t, srv.Client(), srv.URL, frag, false)
+	before := sess.Stats()
+	if before.Ingested != 1 {
+		t.Fatalf("ingested %d events, want 1", before.Ingested)
+	}
+
+	var line bytes.Buffer
+	if err := refill.WriteLogs(&line, frag); err != nil {
+		t.Fatal(err)
+	}
+	body := bytes.Repeat(line.Bytes(), maxAppendBytes/line.Len()+1)[:maxAppendBytes+1]
+	resp, err := srv.Client().Post(srv.URL+"/v1/append", "text/plain", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized append: %s, want 413", resp.Status)
+	}
+	if after := sess.Stats(); after.Ingested != before.Ingested || after.PendingRows != before.PendingRows {
+		t.Errorf("oversized append changed the session: ingested %d -> %d, pending rows %d -> %d",
+			before.Ingested, after.Ingested, before.PendingRows, after.PendingRows)
+	}
+}

@@ -162,28 +162,38 @@ func (b *Batch) Set(i int, e Event) {
 	}
 }
 
-// setFrom copies row si of src into row i of b — the partitioners' bulk move,
-// which avoids materializing an Event in between.
-func (b *Batch) setFrom(src *Batch, si, i int) {
+// scatterFrom copies src rows lo, lo+1, ... into rows dst[0], dst[1], ... of
+// b, skipping negative destinations — the partitioners' bulk move, which
+// avoids materializing Events in between. It moves one column at a time, so
+// each pass writes a single column's scattered destinations. Info is copied
+// only into a dense info column, whose distinct-index writes are safe
+// against concurrent readers of other rows: the partitioners give the arena
+// one whenever any moved row carries Info.
+func (b *Batch) scatterFrom(src *Batch, lo int, dst []int32) {
 	b.mutable()
-	b.node[i] = src.node[si]
-	b.typ[i] = src.typ[si]
-	b.sender[i] = src.sender[si]
-	b.receiver[i] = src.receiver[si]
-	b.origin[i] = src.origin[si]
-	b.seq[i] = src.seq[si]
-	b.time[i] = src.time[si]
+	scatter(b.node, src.node[lo:], dst)
+	scatter(b.typ, src.typ[lo:], dst)
+	scatter(b.sender, src.sender[lo:], dst)
+	scatter(b.receiver, src.receiver[lo:], dst)
+	scatter(b.origin, src.origin[lo:], dst)
+	scatter(b.seq, src.seq[lo:], dst)
+	scatter(b.time, src.time[lo:], dst)
 	if b.infoCol != nil {
-		// Dense destination (a shared arena): a distinct-index slice
-		// write, safe against concurrent readers of other rows.
-		b.infoCol[i] = src.Info(si)
-		return
-	}
-	if s := src.Info(si); s != "" {
-		if b.info == nil {
-			b.info = make(map[int32]string)
+		for k, d := range dst {
+			if d >= 0 {
+				b.infoCol[d] = src.Info(lo + k)
+			}
 		}
-		b.info[int32(i)] = s
+	}
+}
+
+// scatter sets to[dst[k]] = from[k] for every non-negative dst[k].
+func scatter[T any](to, from []T, dst []int32) {
+	from = from[:len(dst)]
+	for k, d := range dst {
+		if d >= 0 {
+			to[d] = from[k]
+		}
 	}
 }
 

@@ -170,22 +170,59 @@ func referencePartition(c *Collection) (map[PacketID]map[NodeID][]Event, []Event
 	return views, ops
 }
 
-func TestPartitionMatchesReference(t *testing.T) {
+// partitionCase is one input of the partition equivalence tests, with the
+// slot-index mode it must take.
+type partitionCase struct {
+	name   string
+	c      *Collection
+	sparse bool
+}
+
+// partitionCases covers both slot modes: random collections (50 origins
+// with 1000-wide sequence ranges but only ~2000 rows: sparse), a dense
+// campaign-shaped one, and adversarial wire-level IDs at the uint32 edges.
+func partitionCases() []partitionCase {
+	var cases []partitionCase
 	for seed := int64(1); seed <= 4; seed++ {
-		c := buildRandomCollection(seed, 2000)
-		want, wantOps := referencePartition(c)
-		views, ops := Partition(c)
-		if len(views) != len(want) {
-			t.Fatalf("seed %d: %d views, want %d", seed, len(views), len(want))
+		cases = append(cases, partitionCase{fmt.Sprintf("random-%d", seed), buildRandomCollection(seed, 2000), true})
+	}
+	return append(cases,
+		partitionCase{"campaign", buildCampaignCollection(5, 12, 60), false},
+		partitionCase{"edge-dense", buildEdgeDenseCollection(), false},
+		partitionCase{"seq-gaps", buildSeqGapCollection(), true},
+		partitionCase{"adversarial", buildAdversarialCollection(), true},
+	)
+}
+
+func TestPartitionMatchesReference(t *testing.T) {
+	for _, tc := range partitionCases() {
+		if ix := newSlotIndex(tc.c, tc.c.Nodes()); ix.sparse != tc.sparse {
+			t.Errorf("%s: slot index sparse=%v, want %v", tc.name, ix.sparse, tc.sparse)
 		}
-		for _, v := range views {
-			if !reflect.DeepEqual(v.PerNodeEvents(), want[v.Packet]) {
-				t.Fatalf("seed %d: view %v differs from reference", seed, v.Packet)
-			}
+		checkPartitionMatchesReference(t, tc.name, tc.c)
+	}
+}
+
+// checkPartitionMatchesReference holds Partition to the reference: the same
+// views and per-node events, views strictly ascending by packet ID, and the
+// same number of operational events.
+func checkPartitionMatchesReference(t *testing.T, name string, c *Collection) {
+	t.Helper()
+	want, wantOps := referencePartition(c)
+	views, ops := Partition(c)
+	if len(views) != len(want) {
+		t.Fatalf("%s: %d views, want %d", name, len(views), len(want))
+	}
+	for i, v := range views {
+		if !reflect.DeepEqual(v.PerNodeEvents(), want[v.Packet]) {
+			t.Fatalf("%s: view %v differs from reference", name, v.Packet)
 		}
-		if len(ops) != len(wantOps) {
-			t.Fatalf("seed %d: %d operational events, want %d", seed, len(ops), len(wantOps))
+		if i > 0 && packetKey(views[i-1].Packet.Origin, views[i-1].Packet.Seq) >= packetKey(v.Packet.Origin, v.Packet.Seq) {
+			t.Fatalf("%s: views %v, %v out of packet-ID order", name, views[i-1].Packet, v.Packet)
 		}
+	}
+	if len(ops) != len(wantOps) {
+		t.Fatalf("%s: %d operational events, want %d", name, len(ops), len(wantOps))
 	}
 }
 
@@ -219,26 +256,33 @@ func TestPartitionSpanInvariants(t *testing.T) {
 }
 
 func TestStreamPartitionMatchesPartition(t *testing.T) {
-	for seed := int64(1); seed <= 4; seed++ {
-		c := buildRandomCollection(seed, 2000)
-		views, ops := Partition(c)
-		want := make(map[PacketID]map[NodeID][]Event, len(views))
-		for _, v := range views {
-			want[v.Packet] = v.PerNodeEvents()
+	for _, tc := range partitionCases() {
+		checkStreamMatchesPartition(t, tc.name, tc.c)
+	}
+}
+
+// checkStreamMatchesPartition holds StreamPartition to Partition: every view
+// emitted exactly once with the same per-node events, and the same
+// operational events in the same order.
+func checkStreamMatchesPartition(t *testing.T, name string, c *Collection) {
+	t.Helper()
+	views, ops := Partition(c)
+	want := make(map[PacketID]map[NodeID][]Event, len(views))
+	for _, v := range views {
+		want[v.Packet] = v.PerNodeEvents()
+	}
+	got := make(map[PacketID]map[NodeID][]Event, len(views))
+	sops := StreamPartition(c, func(v *PacketView) {
+		if _, dup := got[v.Packet]; dup {
+			t.Fatalf("%s: view %v emitted twice", name, v.Packet)
 		}
-		got := make(map[PacketID]map[NodeID][]Event, len(views))
-		sops := StreamPartition(c, func(v *PacketView) {
-			if _, dup := got[v.Packet]; dup {
-				t.Fatalf("seed %d: view %v emitted twice", seed, v.Packet)
-			}
-			got[v.Packet] = v.PerNodeEvents()
-		})
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d: stream views differ from Partition", seed)
-		}
-		if !reflect.DeepEqual(sops, ops) {
-			t.Fatalf("seed %d: stream operational events differ", seed)
-		}
+		got[v.Packet] = v.PerNodeEvents()
+	})
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: stream views differ from Partition", name)
+	}
+	if !reflect.DeepEqual(sops, ops) {
+		t.Fatalf("%s: stream operational events differ", name)
 	}
 }
 

@@ -157,12 +157,6 @@ type PacketView struct {
 	Packet PacketID
 	batch  *Batch
 	spans  []ViewSpan
-
-	// cur is the partitioners' fill cursor: the next arena row this view
-	// writes. segOpen tracks whether the current scan node has an open
-	// span. Both are meaningless once the view is handed to a consumer.
-	cur     int32
-	segOpen bool
 }
 
 // NewPacketView builds a self-contained view from per-node event slices,
@@ -268,97 +262,186 @@ func (v *PacketView) TotalEvents() int {
 	return total
 }
 
-// viewLayout is the partitioners' shared sizing machinery: one counting scan
-// assigns every packet a dense view index and measures, per view, the event
-// count and the number of (packet, node) segments; alloc then carves every
-// view's rows and span storage out of single arenas.
+// viewLayout is the partitioners' shared machinery. A slot index numbers
+// every packet in packet-ID order; one counting scan measures, per slot, the
+// event count and the number of (packet, node) spans; alloc carves every
+// view's rows and spans out of single arenas in slot order, so views come out
+// already sorted and laid out front to back; the fill scan then moves each
+// row to its slot's next arena row. No row is hashed — each scan recomputes
+// a row's slot arithmetically — and the fill scan touches only compact
+// per-slot state, never the PacketView structs.
 type viewLayout struct {
-	byPacket map[PacketID]int32 // packet -> dense view index
-	counts   []int32            // events per view
-	segs     []int32            // spans per view
-	lastNode []int32            // last node index that touched the view (sizing scan)
-	total    int                // packet-scoped events overall
-	packets  []PacketID
+	ix    slotIndex
+	slots []slotState
+	// last, kept only for StreamPartition, is each slot's global scan
+	// position of its final event.
+	last   []int32
+	nviews int // non-empty slots
 	// hasInfo records whether the sizing scan saw any packet-scoped event
 	// carrying a non-empty Info. If so, alloc gives the arena a dense info
 	// column instead of the lazy map: map inserts during the fill pass
 	// would race with concurrent readers of already-emitted views
 	// (StreamPartition), whereas distinct-index slice writes cannot.
 	hasInfo bool
+
+	arena *Batch
+	spans []ViewSpan // span arena, carved into the views' span slices
+	views []*PacketView
+
+	// Fill-scan scratch: the current chunk's destination rows, the slots
+	// whose span the current node opened, StreamPartition's scan position
+	// and the slots the current chunk completed.
+	dst     []int32
+	touched []int32
+	pos     int32
+	done    []int32
 }
 
-func newViewLayout(hint int) *viewLayout {
-	return &viewLayout{byPacket: make(map[PacketID]int32, hint)}
+// slotState is one slot's partition state. The sizing scan counts rows and
+// spans; alloc turns those counts into the slot's cursors into the row and
+// span arenas. node is 1 + the index of the last node that touched the slot
+// (sizing), then of the node whose span is open (fill; 0 when none is).
+type slotState struct {
+	row  int32 // sizing: events; fill: next arena row
+	span int32 // sizing: spans; fill: next span
+	node int32
+	view int32 // index into views, set by alloc
 }
 
-// touch accounts one packet-scoped event seen at node index ni, creating the
-// view on first sight, and returns the view index.
-func (ly *viewLayout) touch(pkt PacketID, ni int) int32 {
-	vi, ok := ly.byPacket[pkt]
-	if !ok {
-		vi = int32(len(ly.counts))
-		ly.byPacket[pkt] = vi
-		ly.counts = append(ly.counts, 0)
-		ly.segs = append(ly.segs, 0)
-		ly.lastNode = append(ly.lastNode, -1)
-		ly.packets = append(ly.packets, pkt)
+// newViewLayout indexes the packets of c's logs (visited in nodes order) and
+// runs the counting scan; trackLast additionally records every slot's final
+// scan position for StreamPartition.
+func newViewLayout(c *Collection, nodes []NodeID, trackLast bool) *viewLayout {
+	ly := &viewLayout{ix: newSlotIndex(c, nodes)}
+	ly.slots = make([]slotState, ly.ix.slots)
+	if trackLast {
+		ly.last = make([]int32, ly.ix.slots)
 	}
-	ly.counts[vi]++
-	ly.total++
-	if ly.lastNode[vi] != int32(ni) {
-		ly.lastNode[vi] = int32(ni)
-		ly.segs[vi]++
+	pos := int32(0)
+	for ni, n := range nodes {
+		b := &c.Logs[n].batch
+		withInfo := b.info != nil || b.infoCol != nil
+		for i, t := range b.typ {
+			if !t.PacketScoped() {
+				continue
+			}
+			s := ly.ix.slot(b.origin[i], b.seq[i])
+			st := &ly.slots[s]
+			if st.row == 0 {
+				ly.nviews++
+			}
+			st.row++
+			if st.node != int32(ni+1) {
+				st.node = int32(ni + 1)
+				st.span++
+			}
+			if trackLast {
+				ly.last[s] = pos
+				pos++
+			}
+			if withInfo && !ly.hasInfo && b.Info(i) != "" {
+				ly.hasInfo = true
+			}
+		}
 	}
-	return vi
+	return ly
 }
 
-// alloc builds the arena batch, the span arena and the view structs, wiring
-// each view's fill cursor to its region. The returned views are in
-// first-appearance (scan) order.
-func (ly *viewLayout) alloc() (arena *Batch, views []*PacketView) {
-	arena = &Batch{}
+// alloc builds the arena batch, the span arena and the view structs in slot
+// (packet-ID) order, and turns every slot's counts into its fill cursors.
+func (ly *viewLayout) alloc() {
+	ly.arena = &Batch{}
 	if ly.hasInfo {
-		arena.infoCol = make([]string, ly.total)
+		ly.arena.infoCol = make([]string, ly.ix.rows)
 	}
-	arena.Resize(ly.total)
-	totalSegs := 0
-	for _, s := range ly.segs {
-		totalSegs += int(s)
+	ly.arena.Resize(ly.ix.rows)
+	totalSpans := 0
+	for _, st := range ly.slots {
+		totalSpans += int(st.span)
 	}
-	spanArena := make([]ViewSpan, totalSegs)
-	structs := make([]PacketView, len(ly.counts))
-	views = make([]*PacketView, len(ly.counts))
-	rowOff, segOff := int32(0), 0
-	for i := range structs {
-		vw := &structs[i]
-		vw.Packet = ly.packets[i]
-		vw.batch = arena
-		vw.cur = rowOff
-		vw.spans = spanArena[segOff : segOff : segOff+int(ly.segs[i])]
-		rowOff += ly.counts[i]
-		segOff += int(ly.segs[i])
-		views[i] = vw
-	}
-	return arena, views
+	ly.spans = make([]ViewSpan, totalSpans)
+	structs := make([]PacketView, ly.nviews)
+	ly.views = make([]*PacketView, ly.nviews)
+	ly.dst = make([]int32, fillChunk)
+	row, span, vi := int32(0), int32(0), int32(0)
+	ly.ix.eachSlot(func(s int32, pkt PacketID) {
+		st := &ly.slots[s]
+		if st.row == 0 {
+			return
+		}
+		end := span + st.span
+		structs[vi] = PacketView{Packet: pkt, batch: ly.arena, spans: ly.spans[span:end:end]}
+		ly.views[vi] = &structs[vi]
+		n := st.row
+		*st = slotState{row: row, span: span, view: vi}
+		row, span, vi = row+n, end, vi+1
+	})
 }
 
-// fill moves one source row into the view, opening a span for node n if none
-// is open; touched collects views needing their span closed at node end.
-func (v *PacketView) fill(arena, src *Batch, si int, n NodeID, touched []*PacketView) []*PacketView {
-	if !v.segOpen {
-		v.segOpen = true
-		v.spans = append(v.spans, ViewSpan{Node: n, Start: v.cur})
-		touched = append(touched, v)
+// fillChunk is the number of rows fill places before moving them: it bounds
+// the destination buffer at 16 KiB while amortizing the per-column passes.
+const fillChunk = 4096
+
+// fill moves node n's rows (scan index ni) into the arena and returns ops
+// with the node's operational rows appended. Each chunk of rows is placed —
+// every packet-scoped row claims its slot's next arena row — and then moved
+// one column at a time. With emit (StreamPartition), every view whose final
+// row the chunk moved is closed and emitted right after the move, so an
+// emitted view is never written again.
+func (ly *viewLayout) fill(b *Batch, n NodeID, ni int, ops []Event, emit func(*PacketView)) []Event {
+	ly.touched = ly.touched[:0]
+	for lo := 0; lo < len(b.typ); lo += fillChunk {
+		dst := ly.dst[:min(fillChunk, len(b.typ)-lo)]
+		ly.done = ly.done[:0]
+		for k := range dst {
+			i := lo + k
+			if !b.typ[i].PacketScoped() {
+				ops = append(ops, b.At(i))
+				dst[k] = -1
+				continue
+			}
+			s := ly.ix.slot(b.origin[i], b.seq[i])
+			dst[k] = ly.place(s, n, ni)
+			if emit != nil {
+				if ly.pos == ly.last[s] {
+					ly.done = append(ly.done, s)
+				}
+				ly.pos++
+			}
+		}
+		ly.arena.scatterFrom(b, lo, dst)
+		for _, s := range ly.done {
+			ly.closeSpan(s)
+			emit(ly.views[ly.slots[s].view])
+		}
 	}
-	arena.setFrom(src, si, int(v.cur))
-	v.cur++
-	return touched
+	for _, s := range ly.touched {
+		if ly.slots[s].node != 0 {
+			ly.closeSpan(s)
+		}
+	}
+	return ops
 }
 
-// closeSpan commits the open span's end row.
-func (v *PacketView) closeSpan() {
-	v.spans[len(v.spans)-1].End = v.cur
-	v.segOpen = false
+// place claims slot s's next arena row for a row of node n (scan index ni),
+// opening the slot's span for n first if none is open.
+func (ly *viewLayout) place(s int32, n NodeID, ni int) int32 {
+	st := &ly.slots[s]
+	if st.node != int32(ni+1) {
+		st.node = int32(ni + 1)
+		ly.spans[st.span] = ViewSpan{Node: n, Start: st.row}
+		st.span++
+		ly.touched = append(ly.touched, s)
+	}
+	st.row++
+	return st.row - 1
+}
+
+// closeSpan commits the end row of slot s's open span and marks it closed.
+func (ly *viewLayout) closeSpan(s int32) {
+	st := &ly.slots[s]
+	ly.spans[st.span-1].End = st.row
+	st.node = 0
 }
 
 // Partition splits a collection into per-packet views, preserving per-node
@@ -366,56 +449,28 @@ func (v *PacketView) closeSpan() {
 // returned separately. Views are ordered by packet ID (origin, then seq) for
 // deterministic processing.
 //
-// All views share one columnar batch arena sized by a counting pre-pass, so
-// the whole partition performs O(nodes + views) small allocations plus a
-// fixed handful of arena allocations — not several per packet.
+// All views share one columnar batch arena sized by a counting pre-pass and
+// laid out in packet-ID order (see viewLayout), so the views come out sorted
+// with no sort, and the whole partition performs a fixed handful of arena and
+// slot-table allocations plus the operational slice's growth — not several
+// per packet.
 func Partition(c *Collection) (views []*PacketView, operational []Event) {
 	nodes := c.Nodes()
-	ly := newViewLayout(c.TotalEvents()/8 + 1)
+	ly := newViewLayout(c, nodes, false)
+	ly.alloc()
 	for ni, n := range nodes {
-		b := &c.Logs[n].batch
-		for i := 0; i < len(b.typ); i++ {
-			if b.typ[i].PacketScoped() {
-				ly.touch(b.Packet(i), ni)
-				if !ly.hasInfo && b.Info(i) != "" {
-					ly.hasInfo = true
-				}
-			}
-		}
+		operational = ly.fill(&c.Logs[n].batch, n, ni, operational, nil)
 	}
-	arena, views := ly.alloc()
-	var touched []*PacketView
-	for _, n := range nodes {
-		touched = touched[:0]
-		b := &c.Logs[n].batch
-		for i := 0; i < len(b.typ); i++ {
-			if !b.typ[i].PacketScoped() {
-				operational = append(operational, b.At(i))
-				continue
-			}
-			v := views[ly.byPacket[b.Packet(i)]]
-			touched = v.fill(arena, b, i, n, touched)
-		}
-		for _, v := range touched {
-			v.closeSpan()
-		}
-	}
-	sort.Slice(views, func(i, j int) bool {
-		a, b := views[i].Packet, views[j].Packet
-		if a.Origin != b.Origin {
-			return a.Origin < b.Origin
-		}
-		return a.Seq < b.Seq
-	})
 	sort.Slice(operational, func(i, j int) bool { return operational[i].Time < operational[j].Time })
-	return views, operational
+	return ly.views, operational
 }
 
 // StreamPartition partitions like Partition but hands each PacketView to emit
 // the moment its last event has been scanned, so packet analysis can overlap
 // with the remainder of the partitioning scan. The counting pre-pass
-// additionally records every packet's last-touch position; the main pass
-// emits a view at exactly that position. Views are emitted in completion
+// additionally records every packet's last-touch position; the fill pass
+// emits a view once the chunk holding that position has been moved into the
+// arena (at most fillChunk rows later). Views are emitted in completion
 // order (deterministic for a given collection, but NOT packet-ID order —
 // callers that need the Partition order must reorder). Operational events are
 // returned once the scan finishes, sorted by time.
@@ -428,54 +483,10 @@ func Partition(c *Collection) (views []*PacketView, operational []Event) {
 // reads.
 func StreamPartition(c *Collection, emit func(*PacketView)) (operational []Event) {
 	nodes := c.Nodes()
-	ly := newViewLayout(c.TotalEvents()/8 + 1)
-	var last []int32 // per view: global scan position of the final event
-	pos := int32(0)
+	ly := newViewLayout(c, nodes, true)
+	ly.alloc()
 	for ni, n := range nodes {
-		b := &c.Logs[n].batch
-		for i := 0; i < len(b.typ); i++ {
-			if b.typ[i].PacketScoped() {
-				vi := ly.touch(b.Packet(i), ni)
-				if !ly.hasInfo && b.Info(i) != "" {
-					ly.hasInfo = true
-				}
-				if int(vi) == len(last) {
-					last = append(last, 0)
-				}
-				last[vi] = pos
-				pos++
-			}
-		}
-	}
-	arena, views := ly.alloc()
-	var touched []*PacketView
-	pos = 0
-	for _, n := range nodes {
-		touched = touched[:0]
-		b := &c.Logs[n].batch
-		for i := 0; i < len(b.typ); i++ {
-			if !b.typ[i].PacketScoped() {
-				operational = append(operational, b.At(i))
-				continue
-			}
-			vi := ly.byPacket[b.Packet(i)]
-			v := views[vi]
-			touched = v.fill(arena, b, i, n, touched)
-			if pos == last[vi] {
-				// The view is complete: commit the open span and
-				// hand it off. The node-end flush below skips it
-				// (segOpen is false), so the view is never written
-				// after emit.
-				v.closeSpan()
-				emit(v)
-			}
-			pos++
-		}
-		for _, v := range touched {
-			if v.segOpen {
-				v.closeSpan()
-			}
-		}
+		operational = ly.fill(&c.Logs[n].batch, n, ni, operational, emit)
 	}
 	sort.Slice(operational, func(i, j int) bool { return operational[i].Time < operational[j].Time })
 	return operational

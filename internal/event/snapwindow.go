@@ -174,37 +174,31 @@ func (p *WindowPlan) FeedWindow(c *Collection, k int, dst *PendingStore) int {
 
 // MaxPacketSpread measures the collection's maximum within-packet timestamp
 // spread — the exact value of the completeness horizon a deployment would
-// bound from its clock-skew and packet-lifetime budgets. One columnar pass;
-// the out-of-core path uses it when the caller supplies no horizon.
+// bound from its clock-skew and packet-lifetime budgets. The out-of-core path
+// uses it when the caller supplies no horizon. It keeps per-slot minimum and
+// maximum times on the partitioners' slot index, so no row is hashed.
 func MaxPacketSpread(c *Collection) int64 {
-	type span struct{ min, max int64 }
-	spans := make(map[PacketID]span, c.TotalEvents()/8+1)
-	for _, n := range c.Nodes() {
+	nodes := c.Nodes()
+	ix := newSlotIndex(c, nodes)
+	lo := make([]int64, ix.slots)
+	hi := make([]int64, ix.slots)
+	for s := range lo {
+		lo[s], hi[s] = math.MaxInt64, math.MinInt64
+	}
+	for _, n := range nodes {
 		b := &c.Logs[n].batch
-		for i := 0; i < len(b.typ); i++ {
-			if !b.typ[i].PacketScoped() {
+		for i, t := range b.typ {
+			if !t.PacketScoped() {
 				continue
 			}
-			id := b.Packet(i)
-			t := b.time[i]
-			s, ok := spans[id]
-			if !ok {
-				s = span{min: t, max: t}
-			}
-			if t < s.min {
-				s.min = t
-			}
-			if t > s.max {
-				s.max = t
-			}
-			spans[id] = s
+			s, tm := ix.slot(b.origin[i], b.seq[i]), b.time[i]
+			lo[s], hi[s] = min(lo[s], tm), max(hi[s], tm)
 		}
 	}
 	horizon := int64(0)
-	//refill:allow maprange — max reduction; order-independent
-	for _, s := range spans {
-		if d := s.max - s.min; d > horizon {
-			horizon = d
+	for s := range lo {
+		if lo[s] <= hi[s] {
+			horizon = max(horizon, hi[s]-lo[s])
 		}
 	}
 	return horizon
