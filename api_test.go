@@ -131,7 +131,11 @@ func TestPublicEngineParallel(t *testing.T) {
 		t.Fatal(err)
 	}
 	serial := eng.Analyze(camp.Logs)
-	parallel := eng.AnalyzeParallel(camp.Logs, 4)
+	an, err := NewAnalyzer(AnalyzerOptions{Sink: camp.Sink}, WithParallelism(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	parallel := an.Analyze(camp.Logs).Result
 	if len(serial.Flows) != len(parallel.Flows) {
 		t.Fatalf("flow counts differ: %d vs %d", len(serial.Flows), len(parallel.Flows))
 	}
@@ -244,7 +248,7 @@ func TestPublicFunctionalOptions(t *testing.T) {
 	}
 }
 
-func TestPublicParallelismAndStreamIdentical(t *testing.T) {
+func TestPublicParallelismIdentical(t *testing.T) {
 	camp, err := RunCampaign(TinyCampaign(9))
 	if err != nil {
 		t.Fatal(err)
@@ -263,12 +267,6 @@ func TestPublicParallelismAndStreamIdentical(t *testing.T) {
 		if got := reportFingerprint(an.Analyze(camp.Logs)); got != want {
 			t.Fatalf("Parallelism=%d diverged from serial", workers)
 		}
-		if got := reportFingerprint(an.AnalyzeStream(camp.Logs)); got != want {
-			t.Fatalf("AnalyzeStream with Parallelism=%d diverged from serial", workers)
-		}
-	}
-	if got := reportFingerprint(base.AnalyzeStream(camp.Logs)); got != want {
-		t.Fatal("AnalyzeStream with default options diverged from serial")
 	}
 }
 

@@ -10,6 +10,7 @@ package refill
 import (
 	"bytes"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -382,39 +383,20 @@ func BenchmarkCampaignSimulation(b *testing.B) {
 	}
 }
 
-// BenchmarkAnalyzeCampaignParallel measures the parallel fan-out of the
-// per-packet reconstruction over the shared campaign logs.
+// BenchmarkAnalyzeCampaignParallel measures the fused, origin-sharded
+// reconstruction and diagnosis at GOMAXPROCS over the shared campaign logs.
 func BenchmarkAnalyzeCampaignParallel(b *testing.B) {
 	c := benchCampaign(b)
 	eng, err := engine.New(engine.Options{Sink: c.Res.Sink})
 	if err != nil {
 		b.Fatal(err)
 	}
+	cfg := diagnosis.Config{Sink: c.Res.Sink, End: int64(c.Res.Duration)}
 	events := c.Res.Logs.TotalEvents()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := eng.AnalyzeParallel(c.Res.Logs, 0)
-		if len(res.Flows) == 0 {
-			b.Fatal("no flows")
-		}
-	}
-	b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
-}
-
-// BenchmarkAnalyzeCampaignStream measures the streaming pipeline, where
-// partitioning overlaps with per-packet analysis.
-func BenchmarkAnalyzeCampaignStream(b *testing.B) {
-	c := benchCampaign(b)
-	eng, err := engine.New(engine.Options{Sink: c.Res.Sink})
-	if err != nil {
-		b.Fatal(err)
-	}
-	events := c.Res.Logs.TotalEvents()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := eng.AnalyzeStream(c.Res.Logs, 0)
+		res, _ := eng.AnalyzeParallelDiagnosed(c.Res.Logs, runtime.GOMAXPROCS(0), cfg)
 		if len(res.Flows) == 0 {
 			b.Fatal("no flows")
 		}

@@ -1,10 +1,10 @@
 package refill
 
 // Equivalence harness for the fused diagnosis pipeline: every fused engine
-// path (serial, origin-sharded parallel, streaming) must produce a Result and
-// a Report byte-identical to reconstructing first and running the serial
+// path (serial and origin-sharded parallel) must produce a Result and a
+// Report byte-identical to reconstructing first and running the serial
 // diagnosis.Build afterwards — across worker counts, and through the core
-// Analyzer's fusion switch. The campaign includes base-station outages, so
+// Analyzer and the facade. The campaign includes base-station outages, so
 // the ServerOutage reclassification is exercised end to end.
 
 import (
@@ -129,21 +129,29 @@ func TestFusedDiagnosisMatchesSerialCampaign(t *testing.T) {
 			res, rep := eng.AnalyzeParallelDiagnosed(logs, w, cfg)
 			check(t, res, rep)
 		})
-		t.Run(fmt.Sprintf("stream-%d", w), func(t *testing.T) {
-			res, rep := eng.AnalyzeStreamDiagnosed(logs, w, cfg)
-			check(t, res, rep)
-		})
 	}
 }
 
-// TestAnalyzerFusedMatchesSeparate flips the core pipeline's fusion switch
-// and asserts the Output is identical either way, across parallelism
-// settings, for both Analyze and AnalyzeStream.
+// twoPassOracle is the test-only two-pass reference: reconstruct every flow
+// with the serial Analyze, then diagnose them in a second pass.
+func twoPassOracle(t *testing.T, logs *Collection, cfg diagnosis.Config) (*engine.Result, *diagnosis.Report) {
+	t.Helper()
+	eng, err := engine.New(engine.Options{Sink: cfg.Sink})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := eng.Analyze(logs)
+	return res, diagnosis.BuildConfig(res.Flows, res.Operational, cfg)
+}
+
+// TestAnalyzerFusedMatchesSeparate holds the core pipeline's fused Analyze to
+// the two-pass oracle, across parallelism settings, with daily bins.
 func TestAnalyzerFusedMatchesSeparate(t *testing.T) {
 	c := equivCampaign(t)
 	logs, sink, end := c.Res.Logs, c.Res.Sink, int64(c.Res.Duration)
 	dayLen := int64(sim.Day)
 	days := int((end + dayLen - 1) / dayLen)
+	refRes, ref := twoPassOracle(t, logs, diagnosis.Config{Sink: sink, End: end, DayLen: dayLen, Days: days})
 
 	for _, par := range []int{0, 2} {
 		par := par
@@ -153,45 +161,35 @@ func TestAnalyzerFusedMatchesSeparate(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sep, err := core.NewAnalyzer(opts, core.WithSeparateDiagnosis())
-			if err != nil {
-				t.Fatal(err)
-			}
-			fo, so := fused.Analyze(logs), sep.Analyze(logs)
-			if !reflect.DeepEqual(so.Result, fo.Result) {
+			fo := fused.Analyze(logs)
+			if !reflect.DeepEqual(refRes, fo.Result) {
 				t.Error("Analyze: fused Result diverged from two-pass")
 			}
-			checkSameReport(t, so.Report, fo.Report, dayLen, days)
-
-			fs, ss := fused.AnalyzeStream(logs), sep.AnalyzeStream(logs)
-			if !reflect.DeepEqual(ss.Result, fs.Result) {
-				t.Error("AnalyzeStream: fused Result diverged from two-pass")
-			}
-			checkSameReport(t, ss.Report, fs.Report, dayLen, days)
+			checkSameReport(t, ref, fo.Report, dayLen, days)
 		})
 	}
 }
 
-// TestFacadeFusionOptions drives the same switch through the public facade
-// options the CLI uses (-two-pass maps to WithSeparateDiagnosis).
+// TestFacadeFusionOptions drives the same comparison through the public
+// facade options the CLI uses (-workers maps to WithParallelism, the daily
+// composition to WithDailyBins).
 func TestFacadeFusionOptions(t *testing.T) {
 	c := equivCampaign(t)
 	logs, sink, end := c.Res.Logs, c.Res.Sink, int64(c.Res.Duration)
 	dayLen := int64(sim.Day)
 	days := int((end + dayLen - 1) / dayLen)
+	refRes, ref := twoPassOracle(t, logs, diagnosis.Config{Sink: sink, End: end, DayLen: dayLen, Days: days})
 
 	base := AnalyzerOptions{Sink: sink, End: end}
-	fused, err := NewAnalyzer(base, WithDailyBins(dayLen, days))
-	if err != nil {
-		t.Fatal(err)
+	for _, par := range []int{0, 2} {
+		fused, err := NewAnalyzer(base, WithDailyBins(dayLen, days), WithParallelism(par))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fo := fused.Analyze(logs)
+		if !reflect.DeepEqual(refRes, fo.Result) {
+			t.Errorf("facade par=%d: fused Result diverged from two-pass", par)
+		}
+		checkSameReport(t, ref, fo.Report, dayLen, days)
 	}
-	sep, err := NewAnalyzer(base, WithDailyBins(dayLen, days), WithSeparateDiagnosis())
-	if err != nil {
-		t.Fatal(err)
-	}
-	fo, so := fused.Analyze(logs), sep.Analyze(logs)
-	if !reflect.DeepEqual(so.Result, fo.Result) {
-		t.Error("facade: fused Result diverged from two-pass")
-	}
-	checkSameReport(t, so.Report, fo.Report, dayLen, days)
 }

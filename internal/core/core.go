@@ -39,9 +39,8 @@ type Options struct {
 	// path: n > 0 uses exactly n workers, n < 0 uses all cores, and 0
 	// selects the path's default — serial for the batch Analyze (the
 	// reproducibility baseline) and all cores for the throughput paths
-	// (AnalyzeStream and Session ingest, where a serial run would only add
-	// overhead). Output is byte-identical across all settings — flows stay
-	// in packet-ID order.
+	// (AnalyzeSnapshot and Session ingest). Output is byte-identical across
+	// all settings — flows stay in packet-ID order.
 	Parallelism int
 	// MaxInferred caps inferred events per packet; 0 means the engine
 	// default (4096).
@@ -57,12 +56,6 @@ type Options struct {
 	// becomes a table read). Days == 0 leaves daily bins computed per call.
 	DayLen int64
 	Days   int
-	// SeparateDiagnosis forces the legacy two-pass pipeline: reconstruct
-	// every flow first, then diagnose them in a second pass. The default
-	// fused pipeline classifies each flow as its worker commits it;
-	// outputs are identical either way — this is an escape hatch for
-	// debugging and for measuring the fusion itself.
-	SeparateDiagnosis bool
 }
 
 // Option is a functional override applied on top of an Options struct by
@@ -90,7 +83,7 @@ func WithWindow(start, end int64) Option {
 
 // WithParallelism sets the worker fan-out (see Options.Parallelism: n>0
 // exactly n, n<0 all cores, 0 the path's default — serial for Analyze, all
-// cores for the streaming and session paths).
+// cores for the snapshot and session paths).
 func WithParallelism(workers int) Option {
 	return func(o *Options) { o.Parallelism = workers }
 }
@@ -99,12 +92,6 @@ func WithParallelism(workers int) Option {
 // analysis time: DailyComposition(dayLen, days) becomes a table read.
 func WithDailyBins(dayLen int64, days int) Option {
 	return func(o *Options) { o.DayLen, o.Days = dayLen, days }
-}
-
-// WithSeparateDiagnosis forces the legacy two-pass pipeline (reconstruct all
-// flows, then diagnose) instead of the fused per-worker classification.
-func WithSeparateDiagnosis() Option {
-	return func(o *Options) { o.SeparateDiagnosis = true }
 }
 
 // WithEngineOptions imports engine-level configuration — the escape hatch for
@@ -139,14 +126,13 @@ func WithEngineOptions(eo engine.Options) Option {
 
 // Analyzer is the ready-to-run REFILL pipeline.
 type Analyzer struct {
-	eng      *engine.Engine
-	sink     event.NodeID
-	start    int64
-	end      int64
-	par      int
-	dayLen   int64
-	days     int
-	separate bool
+	eng    *engine.Engine
+	sink   event.NodeID
+	start  int64
+	end    int64
+	par    int
+	dayLen int64
+	days   int
 }
 
 // NewAnalyzer validates options and builds the pipeline. Functional options
@@ -172,7 +158,7 @@ func NewAnalyzer(opts Options, extra ...Option) (*Analyzer, error) {
 	}
 	return &Analyzer{
 		eng: eng, sink: opts.Sink, start: opts.Start, end: opts.End, par: opts.Parallelism,
-		dayLen: opts.DayLen, days: opts.Days, separate: opts.SeparateDiagnosis,
+		dayLen: opts.DayLen, days: opts.Days,
 	}, nil
 }
 
@@ -245,50 +231,14 @@ func (a *Analyzer) sessionConfig(sc SessionConfig) ingest.Config {
 // per-packet reconstruction out over Options.Parallelism workers (0 = serial).
 // Workers are sharded by packet origin, each owning its flow arena, run state,
 // classifier scratch and diagnosis aggregate: flows are classified as they are
-// committed and the per-worker aggregates merge at the join (unless
-// Options.SeparateDiagnosis asks for the legacy second pass). Output is
-// identical regardless of the worker count and of the fusion switch.
+// committed and the per-worker aggregates merge at the join. Output is
+// identical regardless of the worker count.
 func (a *Analyzer) Analyze(c *event.Collection) *Output {
-	if a.separate {
-		var res *engine.Result
-		switch {
-		case a.par == 0:
-			res = a.eng.Analyze(c)
-		case a.par < 0:
-			res = a.eng.AnalyzeParallel(c, 0) // engine: <=0 selects GOMAXPROCS
-		default:
-			res = a.eng.AnalyzeParallel(c, a.par)
-		}
-		return a.output(res)
-	}
-	var res *engine.Result
-	var rep *diagnosis.Report
-	switch {
-	case a.par == 0:
-		res, rep = a.eng.AnalyzeDiagnosed(c, a.diagConfig())
-	case a.par < 0:
-		res, rep = a.eng.AnalyzeParallelDiagnosed(c, 0, a.diagConfig())
-	default:
-		res, rep = a.eng.AnalyzeParallelDiagnosed(c, a.par, a.diagConfig())
-	}
-	return &Output{Result: res, Report: rep}
-}
-
-// AnalyzeStream runs the full pipeline with partitioning overlapped with
-// reconstruction (engine.AnalyzeStream): packet views are handed to workers
-// the moment the partitioning scan completes them, and each worker classifies
-// its flows at commit time against the pre-scanned outage schedule. Output is
-// identical to Analyze's. Worker count follows Options.Parallelism, except
-// that 0 selects GOMAXPROCS — a serial stream would only add channel overhead.
-func (a *Analyzer) AnalyzeStream(c *event.Collection) *Output {
 	workers := a.par
-	if workers < 0 {
-		workers = 0
+	if workers == 0 {
+		workers = 1
 	}
-	if a.separate {
-		return a.output(a.eng.AnalyzeStream(c, workers))
-	}
-	res, rep := a.eng.AnalyzeStreamDiagnosed(c, workers, a.diagConfig())
+	res, rep := a.eng.AnalyzeParallelDiagnosed(c, workers, a.diagConfig())
 	return &Output{Result: res, Report: rep}
 }
 
@@ -302,22 +252,9 @@ type SnapshotOptions = engine.SnapshotOptions
 // engine.AnalyzeSnapshotDiagnosed). Output is byte-identical to Analyze over
 // snap.Collection(), except that Result.Flows is nil under
 // SnapshotOptions.DiscardFlows. Worker count follows Options.Parallelism
-// with 0 selecting all cores — like AnalyzeStream, this is a throughput
-// path. The snapshot path is always fused (Options.SeparateDiagnosis does
-// not apply): a second diagnosis pass would need every flow resident, which
-// is the exact cost this path exists to avoid.
+// with 0 selecting all cores — this is a throughput path.
 func (a *Analyzer) AnalyzeSnapshot(snap *event.Snapshot, opts SnapshotOptions) *Output {
-	workers := a.par
-	if workers < 0 {
-		workers = 0
-	}
-	res, rep := a.eng.AnalyzeSnapshotDiagnosed(snap, workers, a.diagConfig(), opts)
-	return &Output{Result: res, Report: rep}
-}
-
-// output is the legacy second diagnosis pass over a finished reconstruction.
-func (a *Analyzer) output(res *engine.Result) *Output {
-	rep := diagnosis.BuildConfig(res.Flows, res.Operational, a.diagConfig())
+	res, rep := a.eng.AnalyzeSnapshotDiagnosed(snap, a.par, a.diagConfig(), opts)
 	return &Output{Result: res, Report: rep}
 }
 

@@ -2,90 +2,84 @@ package engine
 
 import (
 	"runtime"
-	"sort"
 
 	"repro/internal/diagnosis"
 	"repro/internal/event"
 	"repro/internal/flow"
 )
 
-// Fused diagnosis: the analysis paths below classify each flow the moment its
-// worker commits it — while the flow's items and visits are still hot in that
-// worker's cache — and fold the outcome into a worker-owned
-// diagnosis.Aggregate. The outage schedule is reconstructed up front (the
-// operational events are either a Partition byproduct or one cheap column
-// scan), shared read-only across workers, and the per-worker aggregates merge
-// at the join. A campaign is therefore diagnosed with no second pass over the
+// Fused diagnosis: every collection entry point classifies each flow the
+// moment its worker commits it — while the flow's items and visits are still
+// hot in that worker's cache — and folds the outcome into a worker-owned
+// diagnosis.Aggregate. The outage schedule is reconstructed up front (from
+// Partition's operational byproduct, or supplied by the window's caller),
+// shared read-only across workers, and the per-worker aggregates merge at
+// the join. A campaign is therefore diagnosed with no second pass over the
 // flows and no cross-worker sharing; the resulting Report is identical to
 // running diagnosis.Build over the finished Result.
 
 // AnalyzeDiagnosed runs Analyze and the diagnosis in one fused serial pass:
-// one classifier's scratch serves every flow right after it is built.
+// one classifier's scratch serves every flow right after it is built. It is
+// AnalyzeParallelDiagnosed with one worker.
 func (e *Engine) AnalyzeDiagnosed(c *event.Collection, cfg diagnosis.Config) (*Result, *diagnosis.Report) {
-	views, ops := event.Partition(c)
-	res := &Result{Operational: ops, Flows: make([]*flow.Flow, len(views))}
-	sched := diagnosis.OutagesFromOperational(ops, cfg.End)
-	outs := make([]diagnosis.Outcome, len(views))
-	cl := diagnosis.NewClassifier()
-	agg := diagnosis.NewAggregate(cfg.Sink, cfg.Start, cfg.DayLen, cfg.Days)
-	if len(views) > 0 {
-		a := flow.NewArena(e.flowSizing(views))
-		r := e.runPool.Get().(*run)
-		for i, v := range views {
-			f := r.analyze(e, v, a)
-			res.Flows[i] = f
-			outs[i] = diagnosis.ApplyOutages(cl.Classify(f), sched, cfg.Sink)
-			agg.Add(outs[i])
-		}
-		e.runPool.Put(r)
-	}
-	return res, diagnosis.FromParts(cfg.Sink, sched, outs, agg)
+	return e.AnalyzeParallelDiagnosed(c, 1, cfg)
 }
 
-// AnalyzeParallelDiagnosed is AnalyzeParallel with per-worker fused
-// classification: every worker owns a classifier and an aggregate alongside
-// its run state and arena, writes outcomes into the same indexed slots as its
-// flows, and the aggregates merge once at the join. workers <= 0 selects
-// GOMAXPROCS. The Result and Report match AnalyzeDiagnosed's exactly.
+// AnalyzeParallelDiagnosed reconstructs and classifies every packet of c
+// over workers origin-sharded workers: every worker owns a classifier and an
+// aggregate alongside its run state and arena, writes outcomes into the same
+// indexed slots as its flows, and the aggregates merge once at the join.
+// workers <= 0 selects GOMAXPROCS. The Result and Report are identical for
+// every worker count.
 func (e *Engine) AnalyzeParallelDiagnosed(c *event.Collection, workers int, cfg diagnosis.Config) (*Result, *diagnosis.Report) {
 	views, ops := event.Partition(c)
+	sched := diagnosis.OutagesFromOperational(ops, cfg.End)
+	flows, outs, agg := e.analyzeFused(views, workers, cfg, sched)
+	return &Result{Operational: ops, Flows: flows}, diagnosis.FromParts(cfg.Sink, sched, outs, agg)
+}
+
+// analyzeFused is the one driver behind every collection entry point: it
+// reconstructs and classifies views against sched on workers origin-sharded
+// workers (<= 0 selects GOMAXPROCS; never more than one per view) and returns
+// the co-indexed flows and outcomes, in view order, with their merged
+// aggregate. One worker runs inline on a pooled run and one arena sized for
+// the whole batch.
+func (e *Engine) analyzeFused(views []*event.PacketView, workers int, cfg diagnosis.Config, sched diagnosis.OutageSchedule) ([]*flow.Flow, []diagnosis.Outcome, *diagnosis.Aggregate) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > len(views) {
 		workers = len(views)
 	}
-	res := &Result{Operational: ops, Flows: make([]*flow.Flow, len(views))}
-	sched := diagnosis.OutagesFromOperational(ops, cfg.End)
+	flows := make([]*flow.Flow, len(views))
 	outs := make([]diagnosis.Outcome, len(views))
 	agg := diagnosis.NewAggregate(cfg.Sink, cfg.Start, cfg.DayLen, cfg.Days)
 	if len(views) == 0 {
-		return res, diagnosis.FromParts(cfg.Sink, sched, outs, agg)
+		return flows, outs, agg
 	}
-	if workers <= 1 {
-		cl := diagnosis.NewClassifier()
-		a := flow.NewArena(e.flowSizing(views))
-		r := e.runPool.Get().(*run)
-		for i, v := range views {
-			f := r.analyze(e, v, a)
-			res.Flows[i] = f
-			outs[i] = diagnosis.ApplyOutages(cl.Classify(f), sched, cfg.Sink)
-			agg.Add(outs[i])
+	// analyzeRange reconstructs, classifies and aggregates views [lo, hi)
+	// with one worker's scratch, writing only those indexed slots.
+	analyzeRange := func(ws *workerScratch, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			f := ws.run.analyze(e, views[i], ws.arena)
+			flows[i] = f
+			outs[i] = diagnosis.ApplyOutages(ws.cl.Classify(f), sched, cfg.Sink)
+			ws.agg.Add(outs[i])
 		}
-		e.runPool.Put(r)
-		return res, diagnosis.FromParts(cfg.Sink, sched, outs, agg)
 	}
-	sizing := perWorker(e.flowSizing(views), workers)
+	sizing := e.flowSizing(views)
+	if workers == 1 {
+		ws := &workerScratch{run: e.runPool.Get().(*run), arena: flow.NewArena(sizing), cl: diagnosis.NewClassifier(), agg: agg}
+		analyzeRange(ws, 0, len(views))
+		e.runPool.Put(ws.run)
+		return flows, outs, agg
+	}
+	sizing = perWorker(sizing, workers)
 	aggs := make([]*diagnosis.Aggregate, workers)
 	e.runSharded(views, workers, func(w int, next func() (int, int, bool)) {
-		ws := newWorkerScratch(sizing, true, cfg)
+		ws := newWorkerScratch(sizing, cfg)
 		for lo, hi, ok := next(); ok; lo, hi, ok = next() {
-			for i := lo; i < hi; i++ {
-				f := ws.run.analyze(e, views[i], ws.arena)
-				res.Flows[i] = f
-				outs[i] = diagnosis.ApplyOutages(ws.cl.Classify(f), sched, cfg.Sink)
-				ws.agg.Add(outs[i])
-			}
+			analyzeRange(ws, lo, hi)
 		}
 		//refill:allow shardowner — merge-at-join handoff: each worker writes only aggs[w], read after the runSharded join
 		aggs[w] = ws.agg
@@ -93,68 +87,5 @@ func (e *Engine) AnalyzeParallelDiagnosed(c *event.Collection, workers int, cfg 
 	for _, wagg := range aggs {
 		agg.Merge(wagg)
 	}
-	return res, diagnosis.FromParts(cfg.Sink, sched, outs, agg)
-}
-
-// AnalyzeStreamDiagnosed is AnalyzeStream with per-worker fused
-// classification. The outage schedule must exist before the first commit, so
-// the operational events are extracted in a cheap dedicated column scan
-// (event.OperationalEvents) rather than waiting for the partitioning scan to
-// finish; each worker then classifies at commit time exactly like the
-// parallel path. The join concatenates the worker shards and co-sorts flows
-// and outcomes back into packet-ID order. workers <= 0 selects GOMAXPROCS.
-func (e *Engine) AnalyzeStreamDiagnosed(c *event.Collection, workers int, cfg diagnosis.Config) (*Result, *diagnosis.Report) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	sched := diagnosis.OutagesFromOperational(event.OperationalEvents(c), cfg.End)
-	sizing := perWorker(e.streamSizing(c), workers)
-	type part struct {
-		flows []*flow.Flow
-		outs  []diagnosis.Outcome
-		agg   *diagnosis.Aggregate
-	}
-	parts := make([]part, workers)
-	ops := e.runStreamSharded(c, workers, func(w int, recv func() (*event.PacketView, bool)) {
-		ws := newWorkerScratch(sizing, true, cfg)
-		p := &parts[w]
-		for v, ok := recv(); ok; v, ok = recv() {
-			f := ws.run.analyze(e, v, ws.arena)
-			o := diagnosis.ApplyOutages(ws.cl.Classify(f), sched, cfg.Sink)
-			ws.agg.Add(o)
-			p.flows = append(p.flows, f)
-			p.outs = append(p.outs, o)
-		}
-		p.agg = ws.agg
-	})
-	total := 0
-	for w := range parts {
-		total += len(parts[w].flows)
-	}
-	res := &Result{Operational: ops, Flows: make([]*flow.Flow, 0, total)}
-	outs := make([]diagnosis.Outcome, 0, total)
-	agg := diagnosis.NewAggregate(cfg.Sink, cfg.Start, cfg.DayLen, cfg.Days)
-	for w := range parts {
-		res.Flows = append(res.Flows, parts[w].flows...)
-		outs = append(outs, parts[w].outs...)
-		agg.Merge(parts[w].agg)
-	}
-	// Shards complete in nondeterministic relative order; restore
-	// Partition's packet-ID order. Flows and outcomes share the unique
-	// packet-ID key, so sorting each by it keeps them co-indexed.
-	sort.Slice(res.Flows, func(i, j int) bool { return packetLess(res.Flows[i].Packet, res.Flows[j].Packet) })
-	sort.Slice(outs, func(i, j int) bool { return packetLess(outs[i].Packet, outs[j].Packet) })
-	return res, diagnosis.FromParts(cfg.Sink, sched, outs, agg)
-}
-
-// packetLess is the deterministic packet order every analysis path returns
-// flows in: origin, then sequence.
-func packetLess(a, b event.PacketID) bool {
-	if a.Origin != b.Origin {
-		return a.Origin < b.Origin
-	}
-	return a.Seq < b.Seq
+	return flows, outs, agg
 }

@@ -55,8 +55,8 @@ func sameDiagnosis(t *testing.T, label string, ref, got *diagnosis.Report) {
 	}
 }
 
-// TestFusedDiagnosisDeterministic runs the fused parallel and stream paths
-// concurrently with themselves across worker counts and pins every Result
+// TestFusedDiagnosisDeterministic runs the fused parallel path concurrently
+// with itself across worker counts and pins every Result
 // and Report to the serial two-pass reference — the -race regression test
 // for the per-worker classifier scratch and the aggregate merge at the join.
 func TestFusedDiagnosisDeterministic(t *testing.T) {
@@ -87,7 +87,7 @@ func TestFusedDiagnosisDeterministic(t *testing.T) {
 	var wg sync.WaitGroup
 	for _, workers := range []int{1, 2, 3, 7, 16} {
 		for r := 0; r < 2; r++ {
-			wg.Add(2)
+			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
 				res, rep := eng.AnalyzeParallelDiagnosed(c, w, cfg)
@@ -96,22 +96,14 @@ func TestFusedDiagnosisDeterministic(t *testing.T) {
 				}
 				sameDiagnosis(t, "parallel", ref, rep)
 			}(workers)
-			go func(w int) {
-				defer wg.Done()
-				res, rep := eng.AnalyzeStreamDiagnosed(c, w, cfg)
-				if !reflect.DeepEqual(serial, res) {
-					t.Errorf("AnalyzeStreamDiagnosed(workers=%d) result diverged", w)
-				}
-				sameDiagnosis(t, "stream", ref, rep)
-			}(workers)
 		}
 	}
 	wg.Wait()
 }
 
-// TestOperationalEventsMatchPartition pins the stream path's dedicated
+// TestOperationalEventsMatchPartition pins the out-of-core path's dedicated
 // operational pre-scan to Partition's byproduct: same events, same order —
-// the fused stream schedule must equal the parallel one bit for bit.
+// the windowed schedule must equal the batch one bit for bit.
 func TestOperationalEventsMatchPartition(t *testing.T) {
 	c := buildOutageCampaign(25)
 	_, ops := event.Partition(c)
@@ -138,7 +130,6 @@ func TestFusedDiagnosisEmptyCollection(t *testing.T) {
 	}{
 		{"serial", func() (*Result, *diagnosis.Report) { return eng.AnalyzeDiagnosed(c, cfg) }},
 		{"parallel", func() (*Result, *diagnosis.Report) { return eng.AnalyzeParallelDiagnosed(c, 4, cfg) }},
-		{"stream", func() (*Result, *diagnosis.Report) { return eng.AnalyzeStreamDiagnosed(c, 4, cfg) }},
 	}
 	for _, p := range paths {
 		res, rep := p.run()

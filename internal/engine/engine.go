@@ -182,19 +182,11 @@ func (e *Engine) AnalyzeViews(views []*event.PacketView) []*flow.Flow {
 
 // AnalyzePacket reconstructs the event flow for a single packet from its
 // per-node log slices. The flow is standalone (exact-sized heap slices, no
-// arena); batch callers should prefer AnalyzeViews or AnalyzePacketInto so
-// many flows share chunked storage.
+// arena); batch callers should prefer AnalyzeViews so many flows share
+// chunked storage.
 func (e *Engine) AnalyzePacket(v *event.PacketView) *flow.Flow {
-	return e.AnalyzePacketInto(v, nil)
-}
-
-// AnalyzePacketInto reconstructs one packet's flow and commits it into a —
-// the building block for callers that drive their own fan-out and want
-// arena-backed output. A nil arena degrades to standalone allocation. The
-// arena is not synchronized: concurrent callers need one arena each.
-func (e *Engine) AnalyzePacketInto(v *event.PacketView, a *flow.Arena) *flow.Flow {
 	r := e.runPool.Get().(*run)
-	f := r.analyze(e, v, a)
+	f := r.analyze(e, v, nil)
 	e.runPool.Put(r)
 	return f
 }

@@ -84,8 +84,8 @@ func (e *Engine) AnalyzeSnapshotDiagnosed(snap *event.Snapshot, workers int, cfg
 	}
 
 	// The outage schedule is global — an early outage classifies a late
-	// packet — so it is built once up front from a dedicated scan, exactly
-	// like the streaming path. Operational rows are rare; the scan touches
+	// packet — so it is built once up front from a dedicated scan
+	// (event.OperationalEvents). Operational rows are rare; the scan touches
 	// the 1-byte type column sequentially and little else.
 	ops := event.OperationalEvents(c)
 	sched := diagnosis.OutagesFromOperational(ops, cfg.End)
@@ -122,7 +122,7 @@ func (e *Engine) AnalyzeSnapshotDiagnosed(snap *event.Snapshot, workers int, cfg
 	}
 
 	// Windows complete in time order, not packet-ID order; restore
-	// Partition's order exactly like the stream join does. Flows and
+	// Partition's order. Flows and
 	// outcomes share the unique packet-ID key, so sorting each by it keeps
 	// them co-indexed.
 	sort.Slice(outs, func(i, j int) bool { return packetLess(outs[i].Packet, outs[j].Packet) })
@@ -132,4 +132,13 @@ func (e *Engine) AnalyzeSnapshotDiagnosed(snap *event.Snapshot, workers int, cfg
 		res.Flows = flows
 	}
 	return res, diagnosis.FromParts(cfg.Sink, sched, outs, agg)
+}
+
+// packetLess is the deterministic packet order every analysis path returns
+// flows in: origin, then sequence.
+func packetLess(a, b event.PacketID) bool {
+	if a.Origin != b.Origin {
+		return a.Origin < b.Origin
+	}
+	return a.Seq < b.Seq
 }

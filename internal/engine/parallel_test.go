@@ -1,11 +1,78 @@
 package engine
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
+	"repro/internal/diagnosis"
 	"repro/internal/event"
 	"repro/internal/fsm"
 )
+
+// buildSeededCampaign synthesizes a deterministic lossy campaign: multi-hop
+// chains toward the sink with a server last mile, randomly thinned logs,
+// occasional duplicates, and operational events — enough variety to exercise
+// inference, rotation, peer retargeting and the operational side channel.
+func buildSeededCampaign(packets int) *event.Collection {
+	rng := rand.New(rand.NewSource(1234))
+	sink := event.NodeID(99)
+	c := event.NewCollection()
+	c.Add(event.Event{Node: event.Server, Type: event.ServerUp, Time: 0})
+	for i := 0; i < packets; i++ {
+		origin := event.NodeID(rng.Intn(20) + 1)
+		pkt := event.PacketID{Origin: origin, Seq: uint32(i + 1)}
+		t0 := int64(i * 100)
+		emit := func(ev event.Event) {
+			if rng.Float64() > 0.3 { // 30% log loss
+				c.Add(ev)
+			}
+		}
+		emit(event.Event{Node: origin, Type: event.Gen, Sender: origin, Packet: pkt, Time: t0})
+		cur := origin
+		hops := rng.Intn(3) + 1
+		for h := 0; h < hops; h++ {
+			next := event.NodeID(100 + h*20 + rng.Intn(10)) // distinct band per hop
+			emit(event.Event{Node: cur, Type: event.Trans, Sender: cur, Receiver: next, Packet: pkt, Time: t0 + int64(h*10+1)})
+			emit(event.Event{Node: cur, Type: event.AckRecvd, Sender: cur, Receiver: next, Packet: pkt, Time: t0 + int64(h*10+2)})
+			emit(event.Event{Node: next, Type: event.Recv, Sender: cur, Receiver: next, Packet: pkt, Time: t0 + int64(h*10+3)})
+			if rng.Float64() < 0.1 {
+				emit(event.Event{Node: next, Type: event.Dup, Sender: cur, Receiver: next, Packet: pkt, Time: t0 + int64(h*10+4)})
+			}
+			cur = next
+		}
+		emit(event.Event{Node: cur, Type: event.Trans, Sender: cur, Receiver: sink, Packet: pkt, Time: t0 + 50})
+		emit(event.Event{Node: sink, Type: event.Recv, Sender: cur, Receiver: sink, Packet: pkt, Time: t0 + 51})
+		emit(event.Event{Node: event.Server, Type: event.ServerRecv, Sender: sink, Receiver: event.Server, Packet: pkt, Time: t0 + 52})
+	}
+	c.Add(event.Event{Node: event.Server, Type: event.ServerDown, Time: int64(packets * 100)})
+	return c
+}
+
+// TestAnalyzeVariantsProduceIdenticalResults asserts the acceptance contract:
+// Analyze, AnalyzeDiagnosed and AnalyzeParallelDiagnosed return deeply-equal
+// Results on a seeded campaign, for several worker counts. Determinism is the
+// correctness contract of the sharded driver.
+func TestAnalyzeVariantsProduceIdenticalResults(t *testing.T) {
+	eng, err := New(Options{Sink: 99})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := buildSeededCampaign(400)
+	serial := eng.Analyze(c)
+	if len(serial.Flows) == 0 || len(serial.Operational) != 2 {
+		t.Fatalf("campaign degenerate: %d flows, %d operational", len(serial.Flows), len(serial.Operational))
+	}
+	cfg := diagnosis.Config{Sink: 99}
+	if res, _ := eng.AnalyzeDiagnosed(c, cfg); !reflect.DeepEqual(serial, res) {
+		t.Fatal("AnalyzeDiagnosed diverged from Analyze")
+	}
+	for _, workers := range []int{0, 1, 3, 8} {
+		if res, _ := eng.AnalyzeParallelDiagnosed(c, workers, cfg); !reflect.DeepEqual(serial, res) {
+			t.Fatalf("AnalyzeParallelDiagnosed(workers=%d) diverged from Analyze", workers)
+		}
+	}
+}
 
 // buildManyPackets makes a collection with n independent 3-hop packets,
 // randomly thinned.
@@ -35,7 +102,7 @@ func TestAnalyzeParallelMatchesSerial(t *testing.T) {
 	c := buildManyPackets(500)
 	serial := eng.Analyze(c)
 	for _, workers := range []int{1, 2, 4, 16} {
-		par := eng.AnalyzeParallel(c, workers)
+		par, _ := eng.AnalyzeParallelDiagnosed(c, workers, diagnosis.Config{Sink: 99})
 		if len(par.Flows) != len(serial.Flows) {
 			t.Fatalf("workers=%d: flow count %d vs %d", workers, len(par.Flows), len(serial.Flows))
 		}
@@ -56,9 +123,9 @@ func TestAnalyzeParallelEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := eng.AnalyzeParallel(event.NewCollection(), 4)
-	if len(res.Flows) != 0 {
-		t.Errorf("flows = %d", len(res.Flows))
+	res, rep := eng.AnalyzeParallelDiagnosed(event.NewCollection(), 4, diagnosis.Config{Sink: 9})
+	if len(res.Flows) != 0 || rep.Total() != 0 {
+		t.Errorf("flows = %d, outcomes = %d", len(res.Flows), rep.Total())
 	}
 }
 
@@ -68,9 +135,9 @@ func TestAnalyzeParallelDefaultsWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := buildManyPackets(50)
-	res := eng.AnalyzeParallel(c, 0) // GOMAXPROCS
-	if len(res.Flows) != 50 {
-		t.Errorf("flows = %d", len(res.Flows))
+	res, rep := eng.AnalyzeParallelDiagnosed(c, 0, diagnosis.Config{Sink: 99}) // GOMAXPROCS
+	if len(res.Flows) != 50 || rep.Total() != 50 {
+		t.Errorf("flows = %d, outcomes = %d", len(res.Flows), rep.Total())
 	}
 }
 
@@ -81,8 +148,8 @@ func TestAnalyzeParallelOperationalEvents(t *testing.T) {
 	}
 	c := buildManyPackets(10)
 	c.Add(event.Event{Node: event.Server, Type: event.ServerDown, Time: 5})
-	res := eng.AnalyzeParallel(c, 2)
-	if len(res.Operational) != 1 {
-		t.Errorf("operational = %d", len(res.Operational))
+	res, rep := eng.AnalyzeParallelDiagnosed(c, 2, diagnosis.Config{Sink: 99})
+	if len(res.Operational) != 1 || len(rep.Outages) != 1 {
+		t.Errorf("operational = %d, outages = %d", len(res.Operational), len(rep.Outages))
 	}
 }

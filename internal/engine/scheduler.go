@@ -16,15 +16,13 @@ import (
 // tail whenever the origin distribution is skewed (one hot origin is one
 // chunk, and every other worker idles while its owner walks it). Splitting
 // inside an origin is legal because packet reconstruction is independent
-// per view and every result lands in a packet-indexed slot; the stream
-// scheduler's merge re-sorts by packet ID for the same reason.
+// per view and every result lands in a packet-indexed slot.
 //
 // Determinism: the set of (view index → worker) assignments is racy by
-// construction, but every path that uses the scheduler writes flows and
-// outcomes into per-view indexed slots (or re-sorts by packet ID at the
-// join) and folds per-worker aggregates with the order-independent
-// diagnosis.Aggregate.Merge. Steal order therefore never leaks into the
-// output.
+// construction, but the fused driver writes flows and outcomes into
+// per-view indexed slots and folds per-worker aggregates with the
+// order-independent diagnosis.Aggregate.Merge. Steal order therefore never
+// leaks into the output.
 //
 // Ownership: the deques are shared mutably across workers by design — every
 // access is under the per-deque mutex, and a unit is plain data (two ints),
@@ -164,10 +162,10 @@ func (e *Engine) runSharded(views []*event.PacketView, workers int, body func(w 
 }
 
 // workerScratch bundles the state one reconstruction worker owns for the
-// duration of a sharded batch: its run, its output arena, and (on the fused
-// paths) its classifier scratch and diagnosis aggregate. Constructed inside
-// the worker goroutine; the aggregate leaves only through the sanctioned
-// merge-at-join handoff at the caller.
+// duration of a batch: its run, its output arena, its classifier scratch
+// and its diagnosis aggregate. Sharded workers construct theirs inside the
+// worker goroutine, and the aggregate leaves only through the sanctioned
+// merge-at-join handoff at the caller; a one-worker batch builds one inline.
 //
 //refill:owned
 type workerScratch struct {
@@ -177,138 +175,12 @@ type workerScratch struct {
 	agg   *diagnosis.Aggregate
 }
 
-// newWorkerScratch builds one worker's scratch. cfg is consulted only when
-// diagnose is set (the fused paths); plain reconstruction leaves the
-// classifier and aggregate nil.
-func newWorkerScratch(sizing flow.Sizing, diagnose bool, cfg diagnosis.Config) *workerScratch {
-	ws := &workerScratch{run: new(run), arena: flow.NewArena(sizing)}
-	if diagnose {
-		ws.cl = diagnosis.NewClassifier()
-		ws.agg = diagnosis.NewAggregate(cfg.Sink, cfg.Start, cfg.DayLen, cfg.Days)
+// newWorkerScratch builds one worker's scratch, its aggregate binned by cfg.
+func newWorkerScratch(sizing flow.Sizing, cfg diagnosis.Config) *workerScratch {
+	return &workerScratch{
+		run:   new(run),
+		arena: flow.NewArena(sizing),
+		cl:    diagnosis.NewClassifier(),
+		agg:   diagnosis.NewAggregate(cfg.Sink, cfg.Start, cfg.DayLen, cfg.Days),
 	}
-	return ws
-}
-
-// streamSource hands arriving packet views to stream workers. Views are
-// routed to a home queue by origin hash (locality: an origin's packets
-// usually stay on one worker's arena), but an idle worker steals the back
-// half of the longest victim queue instead of blocking behind a hot origin. One mutex guards all queues — pushes and
-// pops are tiny compared to a packet reconstruction — and close+empty wakes
-// every waiter for exit. Queue capacity is unbounded, which costs only the
-// view headers: the views' rows live in the partitioner's one shared arena
-// that exists for the whole call regardless of queue depth.
-type streamSource struct {
-	mu     sync.Mutex
-	cond   sync.Cond
-	queues [][]*event.PacketView
-	heads  []int
-	closed bool
-}
-
-func newStreamSource(workers int) *streamSource {
-	s := &streamSource{queues: make([][]*event.PacketView, workers), heads: make([]int, workers)}
-	s.cond.L = &s.mu
-	return s
-}
-
-// push enqueues a view on its origin's home queue.
-func (s *streamSource) push(v *event.PacketView) {
-	w := shardOf(v.Packet.Origin, len(s.queues))
-	s.mu.Lock()
-	s.queues[w] = append(s.queues[w], v)
-	s.mu.Unlock()
-	s.cond.Signal()
-}
-
-// close marks the stream complete and wakes every waiting worker.
-func (s *streamSource) close() {
-	s.mu.Lock()
-	s.closed = true
-	s.mu.Unlock()
-	s.cond.Broadcast()
-}
-
-// next returns the next view for worker w: its own queue front first, then
-// the back half of the longest victim queue, then — if the stream is still
-// open — it waits. Returns false only on closed-and-drained.
-func (s *streamSource) next(w int) (*event.PacketView, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		if v, ok := s.popLocked(w); ok {
-			return v, true
-		}
-		if s.stealLocked(w) {
-			continue
-		}
-		if s.closed {
-			return nil, false
-		}
-		s.cond.Wait()
-	}
-}
-
-// popLocked takes the front of w's own queue, recycling storage when the
-// queue empties.
-func (s *streamSource) popLocked(w int) (*event.PacketView, bool) {
-	q, h := s.queues[w], s.heads[w]
-	if h >= len(q) {
-		return nil, false
-	}
-	v := q[h]
-	q[h] = nil
-	if h+1 == len(q) {
-		s.queues[w] = q[:0]
-		s.heads[w] = 0
-	} else {
-		s.heads[w] = h + 1
-	}
-	return v, true
-}
-
-// stealLocked moves the back half of the longest victim queue onto w's
-// queue, reporting whether anything moved.
-func (s *streamSource) stealLocked(w int) bool {
-	best, bestLen := -1, 0
-	for v := range s.queues {
-		if v == w {
-			continue
-		}
-		if l := len(s.queues[v]) - s.heads[v]; l > bestLen {
-			best, bestLen = v, l
-		}
-	}
-	if best < 0 {
-		return false
-	}
-	q := s.queues[best]
-	cut := len(q) - bestLen/2
-	if cut == len(q) { // single-view queue: take it whole
-		cut = len(q) - 1
-	}
-	s.queues[w] = append(s.queues[w], q[cut:]...)
-	for i := cut; i < len(q); i++ {
-		q[i] = nil
-	}
-	s.queues[best] = q[:cut]
-	return true
-}
-
-// runStreamSharded drives body on workers goroutines fed by StreamPartition
-// through a steal-capable streamSource. Returns the operational events the
-// partitioning scan produced.
-func (e *Engine) runStreamSharded(c *event.Collection, workers int, body func(w int, recv func() (*event.PacketView, bool))) []event.Event {
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	src := newStreamSource(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			body(w, func() (*event.PacketView, bool) { return src.next(w) })
-		}(w)
-	}
-	ops := event.StreamPartition(c, src.push)
-	src.close()
-	wg.Wait()
-	return ops
 }

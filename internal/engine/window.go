@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"runtime"
-
 	"repro/internal/diagnosis"
 	"repro/internal/event"
 	"repro/internal/flow"
@@ -26,48 +24,5 @@ import (
 // packet-ID order within the window. workers <= 0 selects GOMAXPROCS.
 func (e *Engine) AnalyzeWindowDiagnosed(c *event.Collection, workers int, cfg diagnosis.Config, sched diagnosis.OutageSchedule) ([]*flow.Flow, []diagnosis.Outcome, *diagnosis.Aggregate) {
 	views, _ := event.Partition(c)
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(views) {
-		workers = len(views)
-	}
-	flows := make([]*flow.Flow, len(views))
-	outs := make([]diagnosis.Outcome, len(views))
-	agg := diagnosis.NewAggregate(cfg.Sink, cfg.Start, cfg.DayLen, cfg.Days)
-	if len(views) == 0 {
-		return flows, outs, agg
-	}
-	if workers <= 1 {
-		cl := diagnosis.NewClassifier()
-		a := flow.NewArena(e.flowSizing(views))
-		r := e.runPool.Get().(*run)
-		for i, v := range views {
-			f := r.analyze(e, v, a)
-			flows[i] = f
-			outs[i] = diagnosis.ApplyOutages(cl.Classify(f), sched, cfg.Sink)
-			agg.Add(outs[i])
-		}
-		e.runPool.Put(r)
-		return flows, outs, agg
-	}
-	sizing := perWorker(e.flowSizing(views), workers)
-	aggs := make([]*diagnosis.Aggregate, workers)
-	e.runSharded(views, workers, func(w int, next func() (int, int, bool)) {
-		ws := newWorkerScratch(sizing, true, cfg)
-		for lo, hi, ok := next(); ok; lo, hi, ok = next() {
-			for i := lo; i < hi; i++ {
-				f := ws.run.analyze(e, views[i], ws.arena)
-				flows[i] = f
-				outs[i] = diagnosis.ApplyOutages(ws.cl.Classify(f), sched, cfg.Sink)
-				ws.agg.Add(outs[i])
-			}
-		}
-		//refill:allow shardowner — merge-at-join handoff: each worker writes only aggs[w], read after the runSharded join
-		aggs[w] = ws.agg
-	})
-	for _, wagg := range aggs {
-		agg.Merge(wagg)
-	}
-	return flows, outs, agg
+	return e.analyzeFused(views, workers, cfg, sched)
 }

@@ -22,13 +22,6 @@ type Batch struct {
 	// until the first non-empty Info is stored, which on simulator-driven
 	// campaigns is never — the hot path allocates no map.
 	info map[int32]string
-	// infoCol is the dense alternative to the info map, used for shared
-	// partition arenas that are filled while already-emitted rows are read
-	// concurrently: writing one slice element never touches another, so
-	// distinct-index fills race with nothing, whereas any map insert does.
-	// Allocated only by viewLayout.alloc when the counting pre-pass saw a
-	// non-empty Info; when non-nil it supersedes the map entirely.
-	infoCol []string
 	// ro marks a snapshot-mapped batch: its columns alias a read-only file
 	// mapping, so every mutating path panics instead of faulting on a
 	// protected page (or silently corrupting the portable fallback buffer
@@ -89,11 +82,6 @@ func (b *Batch) Grow(n int) {
 		copy(typ, b.typ)
 		b.typ = typ
 	}
-	if b.infoCol != nil && cap(b.infoCol) < want {
-		info := make([]string, len(b.infoCol), want)
-		copy(info, b.infoCol)
-		b.infoCol = info
-	}
 }
 
 // Resize sets the row count to n, zero-filling new rows. Existing rows are
@@ -111,9 +99,6 @@ func (b *Batch) Resize(n int) {
 	b.origin = b.origin[:n]
 	b.seq = b.seq[:n]
 	b.time = b.time[:n]
-	if b.infoCol != nil {
-		b.infoCol = b.infoCol[:n]
-	}
 }
 
 // Append adds one event as a new row.
@@ -126,10 +111,6 @@ func (b *Batch) Append(e Event) {
 	b.origin = append(b.origin, e.Packet.Origin)
 	b.seq = append(b.seq, e.Packet.Seq)
 	b.time = append(b.time, e.Time)
-	if b.infoCol != nil {
-		b.infoCol = append(b.infoCol, e.Info)
-		return
-	}
 	if e.Info != "" {
 		if b.info == nil {
 			b.info = make(map[int32]string)
@@ -148,10 +129,6 @@ func (b *Batch) Set(i int, e Event) {
 	b.origin[i] = e.Packet.Origin
 	b.seq[i] = e.Packet.Seq
 	b.time[i] = e.Time
-	if b.infoCol != nil {
-		b.infoCol[i] = e.Info
-		return
-	}
 	if e.Info != "" {
 		if b.info == nil {
 			b.info = make(map[int32]string)
@@ -163,12 +140,11 @@ func (b *Batch) Set(i int, e Event) {
 }
 
 // scatterFrom copies src rows lo, lo+1, ... into rows dst[0], dst[1], ... of
-// b, skipping negative destinations — the partitioners' bulk move, which
+// b, skipping negative destinations — the partitioner's bulk move, which
 // avoids materializing Events in between. It moves one column at a time, so
-// each pass writes a single column's scattered destinations. Info is copied
-// only into a dense info column, whose distinct-index writes are safe
-// against concurrent readers of other rows: the partitioners give the arena
-// one whenever any moved row carries Info.
+// each pass writes a single column's scattered destinations. Non-empty Info
+// goes into b's lazy side table; b must not be read concurrently while it is
+// filled.
 func (b *Batch) scatterFrom(src *Batch, lo int, dst []int32) {
 	b.mutable()
 	scatter(b.node, src.node[lo:], dst)
@@ -178,11 +154,15 @@ func (b *Batch) scatterFrom(src *Batch, lo int, dst []int32) {
 	scatter(b.origin, src.origin[lo:], dst)
 	scatter(b.seq, src.seq[lo:], dst)
 	scatter(b.time, src.time[lo:], dst)
-	if b.infoCol != nil {
-		for k, d := range dst {
-			if d >= 0 {
-				b.infoCol[d] = src.Info(lo + k)
+	if src.info == nil {
+		return
+	}
+	for k, d := range dst {
+		if inf := src.info[int32(lo+k)]; d >= 0 && inf != "" {
+			if b.info == nil {
+				b.info = make(map[int32]string)
 			}
+			b.info[d] = inf
 		}
 	}
 }
@@ -210,9 +190,7 @@ func (b *Batch) At(i int) Event {
 		Packet:   PacketID{Origin: b.origin[i], Seq: b.seq[i]},
 		Time:     b.time[i],
 	}
-	if b.infoCol != nil {
-		e.Info = b.infoCol[i]
-	} else if b.info != nil {
+	if b.info != nil {
 		e.Info = b.info[int32(i)]
 	}
 	return e
@@ -240,9 +218,6 @@ func (b *Batch) Time(i int) int64 { return b.time[i] }
 
 // Info returns row i's free-form info ("" for the vast majority of rows).
 func (b *Batch) Info(i int) string {
-	if b.infoCol != nil {
-		return b.infoCol[i]
-	}
 	if b.info == nil {
 		return ""
 	}
@@ -254,7 +229,6 @@ func (b *Batch) Reset() {
 	b.mutable()
 	b.Resize(0)
 	b.info = nil
-	b.infoCol = nil
 }
 
 // Clone returns a deep copy.
@@ -268,9 +242,7 @@ func (b *Batch) Clone() Batch {
 		seq:      append([]uint32(nil), b.seq...),
 		time:     append([]int64(nil), b.time...),
 	}
-	if b.infoCol != nil {
-		out.infoCol = append([]string(nil), b.infoCol...)
-	} else if len(b.info) > 0 {
+	if len(b.info) > 0 {
 		out.info = make(map[int32]string, len(b.info))
 		//refill:allow maprange — map-to-map copy; no ordered output is produced
 		for k, v := range b.info {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -255,37 +256,6 @@ func TestPartitionSpanInvariants(t *testing.T) {
 	}
 }
 
-func TestStreamPartitionMatchesPartition(t *testing.T) {
-	for _, tc := range partitionCases() {
-		checkStreamMatchesPartition(t, tc.name, tc.c)
-	}
-}
-
-// checkStreamMatchesPartition holds StreamPartition to Partition: every view
-// emitted exactly once with the same per-node events, and the same
-// operational events in the same order.
-func checkStreamMatchesPartition(t *testing.T, name string, c *Collection) {
-	t.Helper()
-	views, ops := Partition(c)
-	want := make(map[PacketID]map[NodeID][]Event, len(views))
-	for _, v := range views {
-		want[v.Packet] = v.PerNodeEvents()
-	}
-	got := make(map[PacketID]map[NodeID][]Event, len(views))
-	sops := StreamPartition(c, func(v *PacketView) {
-		if _, dup := got[v.Packet]; dup {
-			t.Fatalf("%s: view %v emitted twice", name, v.Packet)
-		}
-		got[v.Packet] = v.PerNodeEvents()
-	})
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("%s: stream views differ from Partition", name)
-	}
-	if !reflect.DeepEqual(sops, ops) {
-		t.Fatalf("%s: stream operational events differ", name)
-	}
-}
-
 func TestNewPacketViewMatchesPartitionLayout(t *testing.T) {
 	c := buildRandomCollection(3, 500)
 	views, _ := Partition(c)
@@ -345,69 +315,49 @@ func TestPartitionPreservesInfo(t *testing.T) {
 			t.Fatalf("view %v lost or mangled Info", v.Packet)
 		}
 	}
-	got := make(map[PacketID]map[NodeID][]Event, len(views))
-	StreamPartition(c, func(v *PacketView) { got[v.Packet] = v.PerNodeEvents() })
-	for pkt, m := range want {
-		if !reflect.DeepEqual(got[pkt], m) {
-			t.Fatalf("streamed view %v lost or mangled Info", pkt)
-		}
-	}
 }
 
-// TestPartitionArenaInfoRepresentation pins the storage choice the streaming
-// race fix depends on: an info-free collection keeps the arena's info storage
-// entirely unallocated (the hot path), while any packet-scoped Info switches
-// the arena to the dense column — never the lazy map, whose inserts during
-// the fill pass would race with concurrent readers of emitted views.
+// TestPartitionArenaInfoRepresentation pins the arena's info storage: an
+// info-free collection keeps it entirely unallocated (the hot path), and
+// packet-scoped Info lands in the lazy side table.
 func TestPartitionArenaInfoRepresentation(t *testing.T) {
 	views, _ := Partition(buildRandomCollection(5, 1000))
-	arena := views[0].Batch()
-	if arena.infoCol != nil || arena.info != nil {
+	if views[0].Batch().info != nil {
 		t.Error("info-free partition allocated arena info storage")
 	}
 	views, _ = Partition(buildInfoCollection(5, 1000))
-	arena = views[0].Batch()
-	if arena.infoCol == nil {
-		t.Error("info-bearing partition did not allocate the dense info column")
-	}
-	if arena.info != nil {
-		t.Error("info-bearing partition populated the lazy map on the shared arena")
+	if views[0].Batch().info == nil {
+		t.Error("info-bearing partition left the arena's info table empty")
 	}
 }
 
-// TestStreamPartitionConcurrentInfoReads is the -race regression test for the
-// shared-arena info storage: emitted views are read (including Info) by
-// worker goroutines while the partitioning scan is still filling later views.
-// With the lazy map on the arena this was a concurrent map read/write; the
-// dense info column makes it race-free.
-func TestStreamPartitionConcurrentInfoReads(t *testing.T) {
+// TestPartitionConcurrentInfoReads is the -race test for the shared arena's
+// info storage: the sharded engine's workers read Partition's views,
+// including Info, from several goroutines at once, which must race with
+// nothing once Partition has returned.
+func TestPartitionConcurrentInfoReads(t *testing.T) {
 	c := buildInfoCollection(31, 4000)
 	want, _ := referencePartition(c)
+	views, _ := Partition(c)
 	const workers = 4
-	views := make(chan *PacketView, 64)
+	var wg sync.WaitGroup
 	errs := make(chan error, workers)
-	done := make(chan struct{})
 	for w := 0; w < workers; w++ {
-		go func() {
-			defer func() { done <- struct{}{} }()
-			for v := range views {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < len(views); i += workers {
+				v := views[i]
 				if !reflect.DeepEqual(v.PerNodeEvents(), want[v.Packet]) {
-					select {
-					case errs <- fmt.Errorf("view %v read mid-stream differs from reference", v.Packet):
-					default:
-					}
+					errs <- fmt.Errorf("view %v read concurrently differs from reference", v.Packet)
+					return
 				}
 			}
-		}()
+		}(w)
 	}
-	StreamPartition(c, func(v *PacketView) { views <- v })
-	close(views)
-	for w := 0; w < workers; w++ {
-		<-done
-	}
-	select {
-	case err := <-errs:
+	wg.Wait()
+	close(errs)
+	if err := <-errs; err != nil {
 		t.Fatal(err)
-	default:
 	}
 }

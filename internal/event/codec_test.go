@@ -3,6 +3,7 @@ package event
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -126,4 +127,46 @@ func TestWriteCollectionAllocsPerEvent(t *testing.T) {
 	if large > small+8 {
 		t.Errorf("allocs grew with event count: %v -> %v for 1000 -> 2000 events", small, large)
 	}
+}
+
+// FuzzReadLogs holds the text codec to a round trip on arbitrary input: any
+// collection ReadCollection accepts must write back (WriteCollection) and
+// re-read into the same per-node events, and Partition must accept it,
+// placing every row in a view or the operational side channel.
+func FuzzReadLogs(f *testing.F) {
+	f.Add([]byte("2 recv 1 2 1:17 120034\n1 trans 1 2 1:17 119800 attempt=3\n"))
+	f.Add([]byte("# node 1 (2 events)\n\n1 gen 1 - 1:17 119700\nserver srecv 1 server 1:17 120100\n"))
+	f.Add([]byte("server sdown - - - 500\nserver sup - - - 900\n- gen - - -:4 7\n"))
+	f.Add([]byte("1 done 1 - 1:3 5   round  2   of 3\n"))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, err := ReadCollection(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteCollection(&buf, c); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadCollection(&buf)
+		if err != nil {
+			t.Fatalf("re-reading written logs: %v\n%s", err, buf.Bytes())
+		}
+		if !reflect.DeepEqual(back.Nodes(), c.Nodes()) {
+			t.Fatalf("nodes %v, want %v", back.Nodes(), c.Nodes())
+		}
+		for _, n := range c.Nodes() {
+			if got, want := back.Logs[n].Events(), c.Logs[n].Events(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("node %v: round trip gave %v, want %v", n, got, want)
+			}
+		}
+		views, ops := Partition(c)
+		rows := len(ops)
+		for _, v := range views {
+			rows += v.TotalEvents()
+		}
+		if rows != c.TotalEvents() {
+			t.Fatalf("partition placed %d of %d rows", rows, c.TotalEvents())
+		}
+	})
 }

@@ -271,30 +271,18 @@ func (v *PacketView) TotalEvents() int {
 // a row's slot arithmetically — and the fill scan touches only compact
 // per-slot state, never the PacketView structs.
 type viewLayout struct {
-	ix    slotIndex
-	slots []slotState
-	// last, kept only for StreamPartition, is each slot's global scan
-	// position of its final event.
-	last   []int32
+	ix     slotIndex
+	slots  []slotState
 	nviews int // non-empty slots
-	// hasInfo records whether the sizing scan saw any packet-scoped event
-	// carrying a non-empty Info. If so, alloc gives the arena a dense info
-	// column instead of the lazy map: map inserts during the fill pass
-	// would race with concurrent readers of already-emitted views
-	// (StreamPartition), whereas distinct-index slice writes cannot.
-	hasInfo bool
 
 	arena *Batch
 	spans []ViewSpan // span arena, carved into the views' span slices
 	views []*PacketView
 
-	// Fill-scan scratch: the current chunk's destination rows, the slots
-	// whose span the current node opened, StreamPartition's scan position
-	// and the slots the current chunk completed.
+	// Fill-scan scratch: the current chunk's destination rows and the
+	// slots whose span the current node opened.
 	dst     []int32
 	touched []int32
-	pos     int32
-	done    []int32
 }
 
 // slotState is one slot's partition state. The sizing scan counts rows and
@@ -305,22 +293,15 @@ type slotState struct {
 	row  int32 // sizing: events; fill: next arena row
 	span int32 // sizing: spans; fill: next span
 	node int32
-	view int32 // index into views, set by alloc
 }
 
 // newViewLayout indexes the packets of c's logs (visited in nodes order) and
-// runs the counting scan; trackLast additionally records every slot's final
-// scan position for StreamPartition.
-func newViewLayout(c *Collection, nodes []NodeID, trackLast bool) *viewLayout {
+// runs the counting scan.
+func newViewLayout(c *Collection, nodes []NodeID) *viewLayout {
 	ly := &viewLayout{ix: newSlotIndex(c, nodes)}
 	ly.slots = make([]slotState, ly.ix.slots)
-	if trackLast {
-		ly.last = make([]int32, ly.ix.slots)
-	}
-	pos := int32(0)
 	for ni, n := range nodes {
 		b := &c.Logs[n].batch
-		withInfo := b.info != nil || b.infoCol != nil
 		for i, t := range b.typ {
 			if !t.PacketScoped() {
 				continue
@@ -335,13 +316,6 @@ func newViewLayout(c *Collection, nodes []NodeID, trackLast bool) *viewLayout {
 				st.node = int32(ni + 1)
 				st.span++
 			}
-			if trackLast {
-				ly.last[s] = pos
-				pos++
-			}
-			if withInfo && !ly.hasInfo && b.Info(i) != "" {
-				ly.hasInfo = true
-			}
 		}
 	}
 	return ly
@@ -351,9 +325,6 @@ func newViewLayout(c *Collection, nodes []NodeID, trackLast bool) *viewLayout {
 // (packet-ID) order, and turns every slot's counts into its fill cursors.
 func (ly *viewLayout) alloc() {
 	ly.arena = &Batch{}
-	if ly.hasInfo {
-		ly.arena.infoCol = make([]string, ly.ix.rows)
-	}
 	ly.arena.Resize(ly.ix.rows)
 	totalSpans := 0
 	for _, st := range ly.slots {
@@ -373,7 +344,7 @@ func (ly *viewLayout) alloc() {
 		structs[vi] = PacketView{Packet: pkt, batch: ly.arena, spans: ly.spans[span:end:end]}
 		ly.views[vi] = &structs[vi]
 		n := st.row
-		*st = slotState{row: row, span: span, view: vi}
+		*st = slotState{row: row, span: span}
 		row, span, vi = row+n, end, vi+1
 	})
 }
@@ -385,14 +356,11 @@ const fillChunk = 4096
 // fill moves node n's rows (scan index ni) into the arena and returns ops
 // with the node's operational rows appended. Each chunk of rows is placed —
 // every packet-scoped row claims its slot's next arena row — and then moved
-// one column at a time. With emit (StreamPartition), every view whose final
-// row the chunk moved is closed and emitted right after the move, so an
-// emitted view is never written again.
-func (ly *viewLayout) fill(b *Batch, n NodeID, ni int, ops []Event, emit func(*PacketView)) []Event {
+// one column at a time.
+func (ly *viewLayout) fill(b *Batch, n NodeID, ni int, ops []Event) []Event {
 	ly.touched = ly.touched[:0]
 	for lo := 0; lo < len(b.typ); lo += fillChunk {
 		dst := ly.dst[:min(fillChunk, len(b.typ)-lo)]
-		ly.done = ly.done[:0]
 		for k := range dst {
 			i := lo + k
 			if !b.typ[i].PacketScoped() {
@@ -402,23 +370,11 @@ func (ly *viewLayout) fill(b *Batch, n NodeID, ni int, ops []Event, emit func(*P
 			}
 			s := ly.ix.slot(b.origin[i], b.seq[i])
 			dst[k] = ly.place(s, n, ni)
-			if emit != nil {
-				if ly.pos == ly.last[s] {
-					ly.done = append(ly.done, s)
-				}
-				ly.pos++
-			}
 		}
 		ly.arena.scatterFrom(b, lo, dst)
-		for _, s := range ly.done {
-			ly.closeSpan(s)
-			emit(ly.views[ly.slots[s].view])
-		}
 	}
 	for _, s := range ly.touched {
-		if ly.slots[s].node != 0 {
-			ly.closeSpan(s)
-		}
+		ly.closeSpan(s)
 	}
 	return ops
 }
@@ -456,47 +412,20 @@ func (ly *viewLayout) closeSpan(s int32) {
 // per packet.
 func Partition(c *Collection) (views []*PacketView, operational []Event) {
 	nodes := c.Nodes()
-	ly := newViewLayout(c, nodes, false)
+	ly := newViewLayout(c, nodes)
 	ly.alloc()
 	for ni, n := range nodes {
-		operational = ly.fill(&c.Logs[n].batch, n, ni, operational, nil)
+		operational = ly.fill(&c.Logs[n].batch, n, ni, operational)
 	}
 	sort.Slice(operational, func(i, j int) bool { return operational[i].Time < operational[j].Time })
 	return ly.views, operational
-}
-
-// StreamPartition partitions like Partition but hands each PacketView to emit
-// the moment its last event has been scanned, so packet analysis can overlap
-// with the remainder of the partitioning scan. The counting pre-pass
-// additionally records every packet's last-touch position; the fill pass
-// emits a view once the chunk holding that position has been moved into the
-// arena (at most fillChunk rows later). Views are emitted in completion
-// order (deterministic for a given collection, but NOT packet-ID order —
-// callers that need the Partition order must reorder). Operational events are
-// returned once the scan finishes, sorted by time.
-//
-// Emitted views reference the shared batch arena; their rows are never
-// written after emit, so emit may safely hand the view to a worker. That
-// includes Info: when the pre-pass sees any packet-scoped event carrying a
-// non-empty Info, the arena stores info in a dense per-row column rather than
-// the lazy map, so filling later views never touches memory an emitted view
-// reads.
-func StreamPartition(c *Collection, emit func(*PacketView)) (operational []Event) {
-	nodes := c.Nodes()
-	ly := newViewLayout(c, nodes, true)
-	ly.alloc()
-	for ni, n := range nodes {
-		operational = ly.fill(&c.Logs[n].batch, n, ni, operational, emit)
-	}
-	sort.Slice(operational, func(i, j int) bool { return operational[i].Time < operational[j].Time })
-	return operational
 }
 
 // OperationalEvents extracts the non-packet-scoped events (server up/down)
 // from a collection, sorted by time — the same slice Partition returns as its
 // second result, without building any views. A single pass over the dense
 // type columns, so callers that need the outage schedule BEFORE analysis
-// (the fused streaming diagnosis) can afford it up front.
+// (the out-of-core windowed diagnosis) can afford it up front.
 func OperationalEvents(c *Collection) []Event {
 	var ops []Event
 	for _, n := range c.Nodes() {

@@ -9,10 +9,10 @@ import (
 // most this many entries (origin entries plus packet slots) per
 // packet-scoped row. Above it the index ranks packets instead, so per-slot
 // state never outgrows the rows it describes, whatever origin and sequence
-// numbers arrive off the wire. Per-slot state costs 16-20 bytes (the
-// partitioners' slotState, plus the streaming partitioner's last position),
-// so a bound of 2 keeps the slot table at or below ~40 bytes per row — about
-// the size of the arena row itself. Campaigns sit far below it: every packet
+// numbers arrive off the wire. Per-slot state costs 12-16 bytes (the
+// partitioner's slotState, or MaxPacketSpread's min/max times), so a bound
+// of 2 keeps the slot table at or below ~32 bytes per row — about the size
+// of the arena row itself. Campaigns sit far below it: every packet
 // contributes one row per hop, and per-origin sequence numbers are near
 // dense, so slots ≈ packets ≪ rows.
 const slotDensity = 2
@@ -32,7 +32,7 @@ type originRange struct {
 // (sparse origins, huge sequence gaps) it switches to sparse mode: slots are
 // ranks in the sorted distinct packet IDs, found by binary search. Only the
 // slot function differs; both modes number slots in packet-ID order, so
-// consumers lay out and emit per-slot state identically.
+// consumers lay out per-slot state identically.
 type slotIndex struct {
 	oMin    NodeID
 	origins []originRange // dense mode: indexed by origin − oMin

@@ -162,9 +162,7 @@ func (s *PendingShard) compactBatch(n NodeID, b *Batch, gone map[PacketID]bool, 
 			b.origin[w] = b.origin[i]
 			b.seq[w] = b.seq[i]
 			b.time[w] = b.time[i]
-			if b.infoCol != nil {
-				b.infoCol[w] = b.infoCol[i]
-			} else if b.info != nil {
+			if b.info != nil {
 				if inf, ok := b.info[int32(i)]; ok {
 					b.info[int32(w)] = inf
 					delete(b.info, int32(i))
@@ -184,7 +182,7 @@ func (s *PendingShard) compactBatch(n NodeID, b *Batch, gone map[PacketID]bool, 
 }
 
 // PendingStore is the session's packet-row buffer, sharded by packet origin
-// with the same Fibonacci spreading the engine's stream router uses. Shards
+// with Fibonacci spreading (originShard). Shards
 // exist for retirement locality (each shard tracks its own packets and
 // compacts its own batches); the store itself is driven single-threaded by
 // its owning session.
@@ -207,8 +205,7 @@ func NewPendingStore(n int) *PendingStore {
 }
 
 // originShard maps an origin node to a shard index (Fibonacci hashing, so
-// dense origin IDs spread instead of striping — the engine routes stream
-// work identically).
+// dense origin IDs spread instead of striping).
 func originShard(origin NodeID, n int) int {
 	return int((uint64(origin) * 0x9E3779B97F4A7C15 >> 32) % uint64(n))
 }

@@ -30,16 +30,15 @@
 //	}
 //	fmt.Println(refill.RenderBreakdown(out.Report))
 //
-// Functional options layer on top of the AnalyzerOptions struct, and
-// an.AnalyzeStream overlaps log partitioning with reconstruction. Every
+// Functional options layer on top of the AnalyzerOptions struct. Every
 // configuration returns byte-identical output — flows stay in packet-ID
-// order regardless of worker count or streaming:
+// order regardless of worker count:
 //
 //	an, _ := refill.NewAnalyzer(refill.AnalyzerOptions{},
 //		refill.WithSink(1),
-//		refill.WithParallelism(4), // 0 = each path's default, <0 = all cores
+//		refill.WithParallelism(-1), // 0 = each path's default, <0 = all cores
 //	)
-//	out := an.AnalyzeStream(logs)
+//	out := an.Analyze(logs)
 //
 // # Quick start: resident sessions
 //
@@ -73,7 +72,7 @@
 // Event storage is columnar (structure-of-arrays) internally, and
 // reconstructed flows are spans into shared per-worker arenas rather than
 // individually allocated slices; the facade deals in plain Event and Flow
-// values and the log formats are unchanged. Parallel, streaming and session
+// values and the log formats are unchanged. Parallel, snapshot and session
 // runs shard the packet space by origin, so each worker owns its arena and
 // run state outright.
 package refill
@@ -220,8 +219,8 @@ type (
 	// has no default (the zero Sink is NoNode and NewAnalyzer rejects it —
 	// add WithSink); a zero window leaves a trailing server outage
 	// open-ended in the report (add WithWindow); Parallelism 0 picks each
-	// path's default — serial for Analyze, all cores for the streaming and
-	// session paths.
+	// path's default — serial for Analyze, all cores for AnalyzeSnapshot
+	// and sessions.
 	AnalyzerOptions = core.Options
 	// AnalyzerOption is a functional override applied on top of
 	// AnalyzerOptions by NewAnalyzer (WithProtocol, WithParallelism, …).
@@ -267,7 +266,7 @@ func WithProtocol(p *Protocol) AnalyzerOption { return core.WithProtocol(p) }
 // WithParallelism sets the per-packet reconstruction fan-out under one rule
 // for every path: n > 0 exactly n workers, n < 0 all cores, 0 the path's
 // default — serial for the batch Analyze (the reproducibility baseline),
-// all cores for AnalyzeStream and Session ingest (the throughput paths).
+// all cores for AnalyzeSnapshot and Session ingest (the throughput paths).
 // Output is byte-identical across all settings.
 func WithParallelism(workers int) AnalyzerOption { return core.WithParallelism(workers) }
 
@@ -282,13 +281,6 @@ func WithEngineOptions(eo EngineOptions) AnalyzerOption { return core.WithEngine
 // analysis time: Report.DailyComposition(dayLen, days) with the same
 // arguments becomes a table read instead of a scan over every outcome.
 func WithDailyBins(dayLen int64, days int) AnalyzerOption { return core.WithDailyBins(dayLen, days) }
-
-// WithSeparateDiagnosis forces the legacy two-pass pipeline — reconstruct
-// every flow, then diagnose them in a second pass — instead of the default
-// fused mode where each worker classifies its flows as it commits them.
-// Outputs are identical either way; this is an escape hatch for debugging
-// and for measuring the fusion itself.
-func WithSeparateDiagnosis() AnalyzerOption { return core.WithSeparateDiagnosis() }
 
 // Resident ingest sessions.
 type (
@@ -420,9 +412,9 @@ type AccuracyRow = report.AccuracyRow
 // EngineOptions exposes the low-level engine configuration (ablations).
 type EngineOptions = engine.Options
 
-// Engine is the low-level reconstruction engine. NewEngine and
-// Engine.AnalyzeParallel expose it for callers that want to drive the
-// per-packet fan-out themselves.
+// Engine is the low-level reconstruction engine. NewEngine, Engine.Analyze
+// and Engine.AnalyzePacket expose it for callers that drive the per-packet
+// work themselves; parallel fan-out goes through Analyzer (WithParallelism).
 type Engine = engine.Engine
 
 // NewEngine builds the low-level engine directly.

@@ -3,7 +3,7 @@ package refill
 // Equivalence suite for the work-stealing shard scheduler on the workload it
 // exists for: a campaign where one hot origin dominates the packet volume,
 // so the steal scheduler splits it mid-origin across idle workers. On every
-// path that uses the scheduler (parallel, stream, windowed out-of-core) the
+// path that uses the scheduler (parallel, windowed out-of-core) the
 // output must be byte-identical to the serial reference, because steal
 // decisions are racy by construction and must never leak into results.
 
@@ -97,35 +97,19 @@ func TestSkewedOriginSchedulerEquivalence(t *testing.T) {
 	wantFlows := serializeFlows(want.Result.Flows)
 	wantReport := RenderBreakdown(want.Report)
 
-	modes := []struct {
-		name   string
-		extra  []AnalyzerOption
-		stream bool
-	}{
-		{"parallel-8-steal", []AnalyzerOption{WithParallelism(8)}, false},
-		{"stream-8-steal", []AnalyzerOption{WithParallelism(8)}, true},
-		{"two-pass-parallel-8", []AnalyzerOption{WithParallelism(8), WithSeparateDiagnosis()}, false},
+	par, err := NewAnalyzer(opts, WithParallelism(8))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, m := range modes {
-		an, err := NewAnalyzer(opts, m.extra...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var out *Output
-		if m.stream {
-			out = an.AnalyzeStream(logs)
-		} else {
-			out = an.Analyze(logs)
-		}
-		if !reflect.DeepEqual(want.Result, out.Result) {
-			t.Errorf("%s: result diverged from serial", m.name)
-		}
-		if got := serializeFlows(out.Result.Flows); got != wantFlows {
-			t.Errorf("%s: flow serialization diverged", m.name)
-		}
-		if got := RenderBreakdown(out.Report); got != wantReport {
-			t.Errorf("%s: report diverged", m.name)
-		}
+	out := par.Analyze(logs)
+	if !reflect.DeepEqual(want.Result, out.Result) {
+		t.Error("parallel-8-steal: result diverged from serial")
+	}
+	if got := serializeFlows(out.Result.Flows); got != wantFlows {
+		t.Error("parallel-8-steal: flow serialization diverged")
+	}
+	if got := RenderBreakdown(out.Report); got != wantReport {
+		t.Error("parallel-8-steal: report diverged")
 	}
 
 	// Out-of-core over the same skewed campaign: snapshot it, analyze in
@@ -140,11 +124,7 @@ func TestSkewedOriginSchedulerEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer snap.Close()
-	ooc, err := NewAnalyzer(opts, WithParallelism(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := ooc.AnalyzeSnapshot(snap, SnapshotOptions{WindowRows: 301})
+	out = par.AnalyzeSnapshot(snap, SnapshotOptions{WindowRows: 301})
 	if !reflect.DeepEqual(want.Result.Flows, out.Result.Flows) {
 		t.Error("out-of-core: flows diverged from serial")
 	}

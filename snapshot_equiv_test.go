@@ -69,13 +69,6 @@ func TestSnapshotAnalyzeEquivalence(t *testing.T) {
 		}
 		checkSameReport(t, want.Report, got.Report, dayLen, days)
 	})
-	t.Run("analyze-stream", func(t *testing.T) {
-		got := an.AnalyzeStream(mapped)
-		if !reflect.DeepEqual(want.Result.Flows, got.Result.Flows) {
-			t.Error("streamed flows over the mapped collection diverged")
-		}
-		checkSameReport(t, want.Report, got.Report, dayLen, days)
-	})
 	t.Run("serializations", func(t *testing.T) {
 		var wantBin, gotBin bytes.Buffer
 		if err := WriteLogsBinary(&wantBin, logs); err != nil {
